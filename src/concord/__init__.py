@@ -40,6 +40,7 @@ from .measures import (
     grrr,
     measure,
     measure_vector,
+    subset_mask,
 )
 from .agreement import (
     DEFAULT_TOLERANCE,
@@ -65,7 +66,6 @@ from .montecarlo import (
     VennRow,
     quadruple_density,
     run,
-    subset_mask,
     tent_cdf,
     tent_inverse_cdf,
     tent_pdf,
@@ -80,6 +80,7 @@ from .quadrature import (
     integrand,
     region_a_parts,
     region_probability,
+    sum_estimates,
     total_probability,
 )
 from .inference import (
@@ -122,6 +123,7 @@ __all__ = [
     "grrr",
     "measure",
     "measure_vector",
+    "subset_mask",
     # agreement
     "DEFAULT_TOLERANCE",
     "AgreementReport",
@@ -145,7 +147,6 @@ __all__ = [
     "VennRow",
     "quadruple_density",
     "run",
-    "subset_mask",
     "tent_cdf",
     "tent_inverse_cdf",
     "tent_pdf",
@@ -159,6 +160,7 @@ __all__ = [
     "integrand",
     "region_a_parts",
     "region_probability",
+    "sum_estimates",
     "total_probability",
     # inference
     "CellCount",

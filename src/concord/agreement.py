@@ -22,10 +22,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import InputValidationError
-from .measures import ALL_KINDS, MeasureKind, RiskPair, measure
+from .measures import (
+    ALL_KINDS,
+    MeasureKind,
+    RiskPair,
+    _odds_ratio,
+    measure,
+    subset_agrees,
+    subset_mask,
+)
 
 __all__ = [
     "Direction",
@@ -140,25 +148,6 @@ def modification_direction(
     return Direction.TOWARD_Q if em_q > em_p else Direction.TOWARD_P
 
 
-def _subset_verdicts(directions: Sequence[Direction]) -> tuple[bool, ...]:
-    """Agreement verdict for every bitmask over the six kinds.
-
-    A subset disagrees iff it contains both strict directions; bit i of a
-    mask refers to ALL_KINDS[i].
-    """
-    toward_p_mask = 0
-    toward_q_mask = 0
-    for i, direction in enumerate(directions):
-        if direction is Direction.TOWARD_P:
-            toward_p_mask |= 1 << i
-        elif direction is Direction.TOWARD_Q:
-            toward_q_mask |= 1 << i
-    return tuple(
-        (mask & toward_p_mask) == 0 or (mask & toward_q_mask) == 0
-        for mask in range(64)
-    )
-
-
 @dataclass(frozen=True)
 class AgreementReport:
     """Full agreement analysis of one pair of strata.
@@ -183,10 +172,10 @@ class AgreementReport:
         return self.pair_matrix[kind_a.bit][kind_b.bit]
 
     def subset_agrees(self, kinds: Iterable[MeasureKind]) -> bool:
-        mask = 0
-        for kind in kinds:
-            mask |= 1 << kind.bit
-        return self.subset_verdicts[mask]
+        return self.subset_verdicts[subset_mask(kinds)]
+
+
+_RR_GATE_MASK = subset_mask((MeasureKind.RR, MeasureKind.RR_STAR))
 
 
 def agree(
@@ -199,24 +188,20 @@ def agree(
     directions = {
         kind: modification_direction(strata, kind, tolerance) for kind in ALL_KINDS
     }
-    ordered = [directions[kind] for kind in ALL_KINDS]
-    matrix = tuple(
-        tuple(a.agrees_with(b) for b in ordered) for a in ordered
-    )
-    verdicts = _subset_verdicts(ordered)
-    gate = directions[MeasureKind.RR].agrees_with(directions[MeasureKind.RR_STAR])
+    toward_p = subset_mask(k for k, d in directions.items() if d is Direction.TOWARD_P)
+    toward_q = subset_mask(k for k, d in directions.items() if d is Direction.TOWARD_Q)
+    verdicts = tuple(subset_agrees(toward_p, toward_q, mask) for mask in range(64))
+    singletons = [1 << kind.bit for kind in ALL_KINDS]
+    matrix = tuple(tuple(verdicts[a | b] for b in singletons) for a in singletons)
     fired = sufficient_conditions(strata) if strata.is_strict else ()
-    requested_mask = 0
-    for kind in requested:
-        requested_mask |= 1 << kind.bit
     return AgreementReport(
         strata=strata,
         kinds=requested,
         directions=directions,
         pair_matrix=matrix,
         subset_verdicts=verdicts,
-        agrees=verdicts[requested_mask],
-        rr_gate_fired=gate,
+        agrees=verdicts[subset_mask(requested)],
+        rr_gate_fired=verdicts[_RR_GATE_MASK],
         fired_conditions=fired,
         tolerance=tolerance,
     )
@@ -259,9 +244,8 @@ def critical_p4(p1: float, p2: float, p3: float, kind: MeasureKind) -> float:
     if kind is MeasureKind.RR_STAR:
         return 1.0 - (1.0 - p2) * (1.0 - p3) / (1.0 - p1)
     if kind is MeasureKind.OR:
-        odds_p = (p2 * (1.0 - p1)) / (p1 * (1.0 - p2))
-        t = odds_p * p3 / (1.0 - p3)
-        return t / (1.0 + t)
+        t = _odds_ratio(p1, p2) * p3 / (1.0 - p3)
+        return 1.0 if math.isinf(t) else t / (1.0 + t)
     if kind is MeasureKind.HR:
         hr_p = math.log1p(-p2) / math.log1p(-p1)
         return -math.expm1(hr_p * math.log1p(-p3))  # 1 - (1-p3)^hr_p

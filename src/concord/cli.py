@@ -60,6 +60,7 @@ from .quadrature import (
     Region,
     region_a_parts,
     region_probability,
+    sum_estimates,
 )
 from .inference import CountTable, estimate_rrr, from_counts, modification_test
 from .casestudies import CASE_NAMES, case_study
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Draw random risk quadruples, tally agreement for all 64 measure "
             "subsets, and report the full Venn table. Deterministic for a "
-            "fixed seed and worker count."
+            "fixed seed."
         ),
     )
     simulate.add_argument(
@@ -229,9 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=(0.0, 1.0),
         metavar="L,U",
         help="support bounds for --dist tent (default 0,1)",
-    )
-    simulate.add_argument(
-        "--workers", type=_positive_int, default=1, help="worker threads (default 1)"
     )
     _add_output_flags(simulate)
 
@@ -440,7 +438,6 @@ def _cmd_simulate(args: argparse.Namespace) -> ReportEnvelope:
         seed=seed,
         distribution=Distribution(args.dist),
         bounds=args.bounds,
-        worker_count=args.workers,
     )
     result = run(config)
     rr_pair = (MeasureKind.RR, MeasureKind.RR_STAR)
@@ -458,7 +455,6 @@ def _cmd_simulate(args: argparse.Namespace) -> ReportEnvelope:
             "seed": seed,
             "distribution": config.distribution.value,
             "bounds": list(config.bounds),
-            "workers": config.worker_count,
         },
         results=results,
         seed=seed,
@@ -477,17 +473,11 @@ def _cmd_exact(args: argparse.Namespace) -> ReportEnvelope:
     spec = QuadratureSpec(resolution=args.resolution)
     regions = {region.value: region_probability(region, spec) for region in Region}
     parts = region_a_parts(spec)
-    total_value = sum(estimate.value for estimate in regions.values())
-    total_error = sum(estimate.error for estimate in regions.values())
     results = {
         "regions": {
             name: _estimate_payload(estimate) for name, estimate in regions.items()
         },
-        "total": {
-            "value": total_value,
-            "error": total_error,
-            "resolution": args.resolution,
-        },
+        "total": _estimate_payload(sum_estimates(regions.values())),
         "region_a_parts": {
             "part1": _estimate_payload(parts[0]),
             "part2": _estimate_payload(parts[1]),

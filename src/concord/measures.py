@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InputValidationError, UndefinedMeasure
 
@@ -42,6 +42,8 @@ __all__ = [
     "measure_vector",
     "derived_measures",
     "grrr",
+    "subset_mask",
+    "mask_members",
 ]
 
 
@@ -92,6 +94,29 @@ _KIND_ORDER: tuple[MeasureKind, ...] = (
 )
 
 ALL_KINDS: tuple[MeasureKind, ...] = _KIND_ORDER
+
+
+def subset_mask(kinds: Iterable[MeasureKind]) -> int:
+    """Bitmask for a measure subset; bit i refers to ALL_KINDS[i]."""
+    mask = 0
+    for kind in kinds:
+        mask |= 1 << kind.bit
+    return mask
+
+
+def mask_members(mask: int) -> tuple[MeasureKind, ...]:
+    """The measures of a subset bitmask, in ALL_KINDS order."""
+    return tuple(kind for kind in ALL_KINDS if mask & (1 << kind.bit))
+
+
+def subset_agrees(toward_p, toward_q, mask):
+    """Whether the subset `mask` agrees, given the direction bitmasks.
+
+    toward_p and toward_q hold the bits of the measures that found the
+    stronger effect in stratum P and in stratum Q. A subset agrees unless
+    it contains a measure from each. Works elementwise on integer arrays.
+    """
+    return ((toward_p & mask) == 0) | ((toward_q & mask) == 0)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ The tent CDF on (L, U) with peak m is
 at m). One published variant of the second branch fails to reach 1 at
 x = U and is treated here as an erratum.
 
-Reproducibility: the seed feeds a SeedSequence that spawns one child
-stream per worker; trials are partitioned statically and worker tallies
-are merged by worker index, so results are bit-identical for a fixed
-(seed, worker_count) regardless of scheduling.
+Reproducibility: all trials come from one generator, seeded with the
+first child that SeedSequence(seed) spawns, and are drawn in blocks of a
+fixed size. The counts are therefore a function of (seed, trials,
+distribution, bounds) alone, bit-identical from run to run.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ import csv
 import enum
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .measures import ALL_KINDS, MeasureKind
+from .measures import MeasureKind, mask_members, subset_agrees, subset_mask
 
 __all__ = [
     "Distribution",
@@ -76,13 +75,10 @@ class SimulationConfig:
     seed: int = 0
     distribution: Distribution = Distribution.UNIFORM_UNIT
     bounds: tuple[float, float] = (0.0, 1.0)
-    worker_count: int = 1
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.worker_count < 1:
-            raise ConfigError(f"worker_count must be >= 1, got {self.worker_count}")
         lower, upper = self.bounds
         if not (0.0 <= lower < upper <= 1.0):
             raise ConfigError(
@@ -90,18 +86,6 @@ class SimulationConfig:
             )
         if not isinstance(self.distribution, Distribution):
             raise ConfigError(f"unknown distribution {self.distribution!r}")
-
-
-def subset_mask(kinds: Iterable[MeasureKind]) -> int:
-    """Bitmask for a measure subset; bit i refers to ALL_KINDS[i]."""
-    mask = 0
-    for kind in kinds:
-        mask |= 1 << kind.bit
-    return mask
-
-
-def _mask_members(mask: int) -> tuple[MeasureKind, ...]:
-    return tuple(kind for kind in ALL_KINDS if mask & (1 << kind.bit))
 
 
 @dataclass(frozen=True)
@@ -278,52 +262,29 @@ def _direction_masks(
     return (toward_p.astype(np.uint32) << 6) | toward_q
 
 
-def _worker_histogram(
-    seed_child: np.random.SeedSequence, n: int, config: SimulationConfig
-) -> np.ndarray:
-    rng = np.random.default_rng(seed_child)
+def _counts_from_histogram(hist: np.ndarray) -> tuple[int, ...]:
+    keys = np.arange(4096)
+    key_toward_p = keys >> 6
+    key_toward_q = keys & 63
+    return tuple(
+        int(hist[subset_agrees(key_toward_p, key_toward_q, mask)].sum())
+        for mask in range(_N_SUBSETS)
+    )
+
+
+def run(config: SimulationConfig) -> SimulationResult:
+    """Run the simulation; deterministic for a fixed seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     hist = np.zeros(4096, dtype=np.int64)
-    remaining = n
+    remaining = config.trials
     while remaining > 0:
         block = min(_BLOCK, remaining)
         p1, p2, p3, p4 = _draw_block(rng, block, config)
         keys = _direction_masks(p1, p2, p3, p4)
         hist += np.bincount(keys, minlength=4096)
         remaining -= block
-    return hist
-
-
-def _counts_from_histogram(hist: np.ndarray) -> tuple[int, ...]:
-    keys = np.arange(4096)
-    key_toward_p = keys >> 6
-    key_toward_q = keys & 63
-    counts = []
-    for mask in range(_N_SUBSETS):
-        agreeing = ((key_toward_p & mask) == 0) | ((key_toward_q & mask) == 0)
-        counts.append(int(hist[agreeing].sum()))
-    return tuple(counts)
-
-
-def run(config: SimulationConfig) -> SimulationResult:
-    """Run the simulation; deterministic for fixed (seed, worker_count)."""
-    workers = config.worker_count
-    base, extra = divmod(config.trials, workers)
-    shares = [base + (1 if w < extra else 0) for w in range(workers)]
-    children = np.random.SeedSequence(config.seed).spawn(workers)
-    if workers == 1:
-        hists = [_worker_histogram(children[0], shares[0], config)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_worker_histogram, children[w], shares[w], config)
-                for w in range(workers)
-            ]
-            hists = [f.result() for f in futures]  # merge in worker order
-    total = np.zeros(4096, dtype=np.int64)
-    for h in hists:
-        total += h
     return SimulationResult(
-        config=config, trials=config.trials, counts=_counts_from_histogram(total)
+        config=config, trials=config.trials, counts=_counts_from_histogram(hist)
     )
 
 
@@ -343,7 +304,7 @@ def venn_table(result: SimulationResult) -> tuple[VennRow, ...]:
     return tuple(
         VennRow(
             bitmask=mask,
-            members=_mask_members(mask),
+            members=mask_members(mask),
             count=result.counts[mask],
             frequency=result.counts[mask] / result.trials,
         )

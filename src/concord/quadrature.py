@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "region_probability",
     "region_a_parts",
     "total_probability",
+    "sum_estimates",
 ]
 
 _MIN_CELLS = 8
@@ -102,12 +103,11 @@ def integrand(p1: float, p2: float, p3: float) -> float:
     """Width of the p4 interval on which RR and RR* disagree."""
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0 and 0.0 < p3 < 1.0):
         raise InputValidationError("integrand needs risks strictly inside (0, 1)")
-    c_rr = p2 * p3 / p1
-    c_rr_star = 1.0 - (1.0 - p2) * (1.0 - p3) / (1.0 - p1)
-    return min(1.0, max(c_rr, c_rr_star)) - max(0.0, min(c_rr, c_rr_star))
+    return float(_integrand_grid(p1, p2, p3))
 
 
 def _integrand_grid(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
+    """The integrand, elementwise; inputs are not validated."""
     c_rr = p2 * p3 / p1
     c_rr_star = 1.0 - (1.0 - p2) * (1.0 - p3) / (1.0 - p1)
     high = np.maximum(c_rr, c_rr_star)
@@ -170,7 +170,12 @@ def region_probability(
 
 def total_probability(spec: QuadratureSpec = QuadratureSpec()) -> QuadratureEstimate:
     """Integral over all four regions (exactly 1/6)."""
-    estimates = [region_probability(region, spec) for region in Region]
+    return sum_estimates(region_probability(region, spec) for region in Region)
+
+
+def sum_estimates(estimates: Iterable[QuadratureEstimate]) -> QuadratureEstimate:
+    """The estimate of a sum of integrals: values and errors add."""
+    estimates = list(estimates)
     return QuadratureEstimate(
         value=sum(e.value for e in estimates),
         error=sum(e.error for e in estimates),

@@ -4,7 +4,7 @@ inequality-only sufficient conditions."""
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from concord.agreement import (
     DEFAULT_TOLERANCE,
@@ -35,6 +35,8 @@ OR = MeasureKind.OR
 
 strict_probs = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 unit_probs = st.floats(min_value=0.0, max_value=1.0)
+# boundary risks and an exact midpoint turn up far more often than by chance
+edge_probs = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit_probs)
 
 
 def strata(p1, p2, p3, p4):
@@ -168,6 +170,29 @@ def test_rr_gate_examples(s, fires):
     assert agree(s).rr_gate_fired == fires
 
 
+@given(edge_probs, edge_probs, edge_probs, edge_probs, st.booleans(), st.booleans())
+def test_verdicts_match_pairwise_definition(p1, p2, p3, p4, tie_p, tie_q):
+    # a subset agrees iff every pair inside it does, by Direction.agrees_with
+    if tie_p:
+        p2 = p1
+    if tie_q:
+        p4 = p3
+    assume(not (p1 == p2 and p1 in (0.0, 1.0)))
+    assume(not (p3 == p4 and p3 in (0.0, 1.0)))
+    s = strata(p1, p2, p3, p4)
+    report = agree(s)
+    d = [report.directions[kind] for kind in ALL_KINDS]
+    for i in range(6):
+        for j in range(6):
+            assert report.pair_matrix[i][j] == d[i].agrees_with(d[j])
+    for mask in range(64):
+        members = [i for i in range(6) if mask >> i & 1]
+        pairwise = all(d[i].agrees_with(d[j]) for i in members for j in members)
+        assert report.subset_verdicts[mask] == pairwise, mask
+    gate = report.directions[RR].agrees_with(report.directions[RR_STAR])
+    assert report.rr_gate_fired == gate == rr_gate(s)
+
+
 @given(unit_probs, unit_probs, unit_probs, unit_probs)
 def test_gate_forces_all_six(p1, p2, p3, p4):
     assume(not (p1 == p2 and p1 in (0.0, 1.0)))
@@ -231,18 +256,49 @@ def test_critical_matches_bisection(triple):
         assert closed == pytest.approx(root, abs=1e-9), kind
 
 
+# Near p4 = 1 the odds ratio is so steep that no double reproduces it to
+# 1e-9 (for the triple below, the doubles either side of the exact root
+# are off by -3.75e-9 and +1.02e-8), so a root is judged in p4 space:
+# every measure increases in p4, and the target must lie between its
+# values a few steps either side of c. The step is absolute because the
+# closed forms subtract risks of order 1, so their error is a few
+# ulp(1.0) whatever the size of c.
+ROOT_STEP = 4 * math.ulp(1.0)
+STEEP_OR_TRIPLE = (0.5, 0.984375, 0.9999989999999999)
+
+
+def _measure_around(p1, p2, p3, kind, c):
+    """The target measure, and stratum Q's measure a step below and above c."""
+    below = measure(RiskPair(p3, c - ROOT_STEP), kind)
+    above = measure(RiskPair(p3, c + ROOT_STEP), kind)
+    return measure(RiskPair(p1, p2), kind), below, above
+
+
+def _brackets_root(p1, p2, p3, kind, c):
+    em_p, below, above = _measure_around(p1, p2, p3, kind, c)
+    return below <= em_p <= above
+
+
+def test_root_check_rejects_a_root_off_by_16_ulp():
+    c = critical_p4(*STEEP_OR_TRIPLE, OR)
+    assert _brackets_root(*STEEP_OR_TRIPLE, OR, c)
+    assert not _brackets_root(*STEEP_OR_TRIPLE, OR, c + 16 * math.ulp(c))
+    assert not _brackets_root(*STEEP_OR_TRIPLE, OR, c - 16 * math.ulp(c))
+
+
 @given(strict_probs, strict_probs, strict_probs)
+@example(*STEEP_OR_TRIPLE)
 def test_critical_point_reproduces_the_measure(p1, p2, p3):
     for kind in ALL_KINDS:
         c = critical_p4(p1, p2, p3, kind)
         if not 1e-9 < c < 1.0 - 1e-9:
             continue
-        em_p = measure(RiskPair(p1, p2), kind)
-        em_q = measure(RiskPair(p3, c), kind)
-        assert math.isclose(em_p, em_q, rel_tol=1e-9, abs_tol=1e-12), kind
-        # classification is only stable away from the null, where the
-        # last-bit noise of the closed form cannot flip the comparison
-        if abs(em_p - kind.null_value) > 1e-5:
+        em_p, below, above = _measure_around(p1, p2, p3, kind, c)
+        assert below <= em_p <= above, kind
+        # the direction is NULL only where a step either side of c stays
+        # inside the tolerance band: not where the measure is steep, as OR
+        # is near p4 = 1, nor where it is near 0 on an absolute scale
+        if DEFAULT_TOLERANCE.equal(em_p, below) and DEFAULT_TOLERANCE.equal(em_p, above):
             s = strata(p1, p2, p3, c)
             assert modification_direction(s, kind) is Direction.NULL, kind
 
@@ -275,6 +331,14 @@ def test_critical_values_container():
     assert set(d) == {"RR", "RR*", "HR", "HR*", "RD", "OR"}
     assert d["RR"] == values.value(RR) == pytest.approx(0.6)
     assert (values.p1, values.p2, values.p3) == (0.1, 0.2, 0.3)
+
+
+@pytest.mark.parametrize("triple", [(5e-324, 0.5, 0.5), (0.5, 5e-324, 0.5)])
+def test_critical_values_survive_subnormal_risks(triple):
+    # the odds ratio of a subnormal risk overflows or underflows
+    values = critical_values(*triple).as_dict()
+    assert not any(math.isnan(v) for v in values.values()), values
+    assert 0.0 <= values["OR"] <= 1.0
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3, math.nan])
