@@ -237,10 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
         "exact",
         help="quadrature of the RR/RR* disagreement probability",
         description=(
-            "Midpoint-rule integration of the disagreement width over the "
-            "four regions of the (p1, p2, p3) cube, with the region-A "
-            "closed-form decomposition. Exact values: 1/24 per region, 1/6 "
-            "total, parts 1/16 + 1/4 - 13/48."
+            "Integration of the disagreement width over the four regions of "
+            "the (p1, p2, p3) cube, with the region-A closed-form "
+            "decomposition. The p3 integral is exact; (p1, p2) is summed by "
+            "the midpoint rule on an n x n grid, so the error falls as 1/n^2. "
+            "Exact values: 1/24 per region, 1/6 total, parts 1/16 + 1/4 - 13/48."
         ),
     )
     exact.add_argument(

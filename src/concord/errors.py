@@ -33,7 +33,7 @@ class ConfigError(ConcordError, ValueError):
 
 
 class ResolutionError(ConfigError):
-    """A quadrature resolution is below the supported minimum."""
+    """A quadrature resolution is unsupported or cannot meet its tolerance."""
 
 
 class DegenerateCell(ConcordError, ValueError):

@@ -5,8 +5,9 @@ results, the tool version, and the seed when randomness was involved.
 Serialization is plain JSON with one extension: IEEE infinities are
 written as the bare literals `Infinity` / `-Infinity` (the json module's
 default), which parse back exactly, so a full-precision envelope
-round-trips losslessly. NaN never appears; computations raise instead of
-propagating NaN.
+round-trips losslessly. NaN never appears: computations raise instead of
+propagating NaN, and an envelope holding a NaN anywhere in its inputs or
+results raises InputValidationError at construction.
 
 Payload values must be JSON-native (dict/list/str/float/int/bool/None);
 tuples are normalized to lists at construction so that equality survives
@@ -16,21 +17,25 @@ a round trip.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .errors import ParseError
+from .errors import InputValidationError, ParseError
 
 __all__ = ["VERSION", "ReportEnvelope"]
 
 VERSION = "0.1.0"
 
 
-def _normalize(value: Any) -> Any:
+def _normalize(value: Any, path: str) -> Any:
+    """Tuples become lists and keys strings; a NaN raises, naming its path."""
     if isinstance(value, dict):
-        return {str(key): _normalize(inner) for key, inner in value.items()}
+        return {str(key): _normalize(inner, f"{path}.{key}") for key, inner in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_normalize(inner) for inner in value]
+        return [_normalize(inner, f"{path}[{i}]") for i, inner in enumerate(value)]
+    if isinstance(value, float) and math.isnan(value):
+        raise InputValidationError(f"report value {path} is NaN")
     return value
 
 
@@ -53,8 +58,8 @@ class ReportEnvelope:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", _normalize(self.inputs))
-        object.__setattr__(self, "results", _normalize(self.results))
+        object.__setattr__(self, "inputs", _normalize(self.inputs, "inputs"))
+        object.__setattr__(self, "results", _normalize(self.results, "results"))
 
     def to_payload(self) -> dict:
         return {

@@ -281,7 +281,7 @@ def test_exact_structure(capsys):
     assert results["regions"]["A"]["resolution"] == 8
     assert 0.1 < results["total"]["value"] < 0.25
     assert set(results["region_a_parts"]) == {"part1", "part2", "part3"}
-    assert abs(results["parts_identity_residual"]) < 0.01
+    assert abs(results["parts_identity_residual"]) <= 1e-12
 
 
 def test_exact_rejects_bad_resolution(capsys):

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from concord import quadrature
 from concord.errors import InputValidationError, ResolutionError
 from concord.quadrature import (
     QuadratureEstimate,
@@ -13,6 +15,7 @@ from concord.quadrature import (
     integrand,
     region_a_parts,
     region_probability,
+    sum_estimates,
     total_probability,
 )
 
@@ -115,11 +118,70 @@ def test_region_a_parts_hand_values():
     assert part3.value == pytest.approx(13 / 48, abs=5e-3)
 
 
+def test_region_a_parts_golden_values():
+    # Values of a 3D midpoint grid at resolution 64. The parts' p3 integrands
+    # are linear, so that grid is exact in p3 and the closed forms match it.
+    golden = (0.06250539642416982, 0.24997394836259793, 0.27082061767578125)
+    for estimate, value in zip(region_a_parts(FAST), golden):
+        assert estimate.value == pytest.approx(value, rel=1e-14)
+
+
 def test_parts_recombine_into_region_a():
     part1, part2, part3 = region_a_parts(FAST)
     region_a = region_probability(Region.A, FAST)
     combined = part1.value + part2.value - part3.value
-    assert combined == pytest.approx(region_a.value, abs=2e-3)
+    assert combined == pytest.approx(region_a.value, abs=1e-12)
+
+
+def test_estimates_are_plain_floats():
+    spec = QuadratureSpec(resolution=16)
+    estimates = [
+        region_probability(Region.A, spec),
+        total_probability(spec),
+        sum_estimates(region_a_parts(spec)),
+        *region_a_parts(spec),
+    ]
+    for estimate in estimates:
+        assert type(estimate.value) is float
+        assert type(estimate.error) is float
+
+
+# ---------------------------------------------------------------------------
+# the exact inner p3 integral
+
+REFERENCE_POINTS = 2**17
+inner_risks = st.floats(min_value=0.01, max_value=0.99)
+
+
+@pytest.mark.parametrize("region", list(Region))
+@settings(max_examples=40, deadline=None)
+@given(inner_risks, inner_risks)
+def test_inner_integral_matches_a_fine_midpoint_sum(region, a, b):
+    assume(abs(a - b) > 1e-3)
+    low, high = sorted((a, b))
+    # p2 lies below p1 in regions B and D, above it in A and C
+    p1, p2 = (high, low) if region in (Region.B, Region.D) else (low, high)
+    start, end = (0.0, p1) if region in (Region.C, Region.D) else (p1, 1.0)
+    width = end - start
+    p3 = start + width * (np.arange(REFERENCE_POINTS) + 0.5) / REFERENCE_POINTS
+    # midpoint error per kink is at most h^2/8 times the slope jump (<= 99)
+    reference = width * float(quadrature._integrand_grid(p1, p2, p3).mean())
+    exact = float(quadrature._region_inner(region, np.float64(p1), np.float64(p2)))
+    assert exact == pytest.approx(reference, abs=1e-9)
+    assert integrand(p1, p2, p3[0]) == quadrature._integrand_grid(p1, p2, p3[0])
+    if region is Region.A:
+        parts = [float(quadrature._part_inner(k, p1, p2)) for k in (1, 2, 3)]
+        assert parts[0] + parts[1] - parts[2] == pytest.approx(exact, abs=1e-14)
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_grid_converges_at_second_order(region):
+    errors = [
+        region_probability(region, QuadratureSpec(resolution=n)).value - 1 / 24
+        for n in (32, 64, 128, 256)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert abs(fine) <= abs(coarse) / 3
 
 
 def test_refinement_shrinks_the_error():
@@ -130,6 +192,12 @@ def test_refinement_shrinks_the_error():
 
 def test_adaptive_scheme_meets_tolerance():
     estimate = region_probability(Region.A, QuadratureSpec("adaptive", 0.001))
-    assert estimate.error <= 0.001 or estimate.resolution >= 2048
+    assert estimate.error <= 0.001
     assert estimate.value == pytest.approx(1 / 24, abs=3e-3)
     assert estimate.resolution >= 64
+
+
+def test_adaptive_scheme_raises_at_the_cell_cap(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_CELLS", 64)
+    with pytest.raises(ResolutionError, match=r"tolerance 1e-09: error \S+ at 64 cells"):
+        region_probability(Region.A, QuadratureSpec("adaptive", 1e-9))

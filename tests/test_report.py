@@ -6,7 +6,9 @@ import math
 import pytest
 
 import concord
-from concord.errors import ParseError
+import numpy as np
+
+from concord.errors import ConcordError, InputValidationError, ParseError
 from concord.report import VERSION, ReportEnvelope
 
 
@@ -63,6 +65,26 @@ def test_infinity_round_trips():
     again = ReportEnvelope.from_json(text)
     assert again.results["RR"] == math.inf
     assert again.results["OR"] == -math.inf
+
+
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"results": {"v": math.nan}}, "results.v"),
+        ({"inputs": {"p": [0.1, (0.2, np.float64("nan"))]}}, r"inputs.p\[1\]\[1\]"),
+        ({"results": {"rows": [{"freq": -math.nan}]}}, r"results.rows\[0\].freq"),
+    ],
+)
+def test_nan_is_rejected_anywhere(fields, path):
+    with pytest.raises(InputValidationError, match=f"{path} is NaN") as raised:
+        make_envelope(**fields)
+    assert isinstance(raised.value, ConcordError)
+
+
+def test_nan_in_parsed_json_is_rejected():
+    text = make_envelope().to_json().replace("1.5", "NaN")
+    with pytest.raises(ConcordError, match="results.RR is NaN"):
+        ReportEnvelope.from_json(text)
 
 
 def test_from_json_errors():
