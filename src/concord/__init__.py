@@ -43,13 +43,11 @@ from .measures import (
     subset_mask,
 )
 from .agreement import (
-    DEFAULT_TOLERANCE,
     AgreementReport,
     CriticalValues,
     Direction,
     FiredCondition,
     StratifiedRisks,
-    Tolerance,
     Window,
     agree,
     critical_p4,
@@ -125,13 +123,11 @@ __all__ = [
     "measure_vector",
     "subset_mask",
     # agreement
-    "DEFAULT_TOLERANCE",
     "AgreementReport",
     "CriticalValues",
     "Direction",
     "FiredCondition",
     "StratifiedRisks",
-    "Tolerance",
     "Window",
     "agree",
     "critical_p4",

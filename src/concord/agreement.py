@@ -2,10 +2,19 @@
 
 Two strata P and Q each carry a RiskPair. For a measure EM, the direction
 of modification is the extended-real comparison of EM across the strata:
-TowardQ when EM_Q > EM_P, TowardP when EM_Q < EM_P, Null when they are
-equal within tolerance. Within one stratum all six measures sit on the
-same side of their nulls (the side of p_exposed - p_control), so this
-comparison is exactly the usual "modified in the same direction" notion.
+TowardQ when EM_Q > EM_P, TowardP when EM_Q < EM_P, Null when they tie.
+Within one stratum all six measures sit on the same side of their nulls
+(the side of p_exposed - p_control), so this comparison is exactly the
+usual "modified in the same direction" notion.
+
+Ties: exact ties between strata are measure-zero events, but floating
+arithmetic needs a band, so two values within a relative 1e-9 of each
+other (math.isclose) tie; equal infinities tie, and an infinity never
+ties a finite value. The Monte Carlo simulator compares exactly instead,
+because its draws are continuous: applying the band there changed no
+count in 24 runs of 1e6 trials (seeds 0-11, uniform and tent risks) but
+made each run about 1.8 times slower on a 2-CPU machine. Outside the
+band both paths give the same directions.
 
 Two measures disagree when one points TowardP and the other TowardQ;
 Null agrees with everything. A set of measures agrees when no pair inside
@@ -20,7 +29,7 @@ values, which yields the disagreement window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
@@ -29,15 +38,13 @@ from .measures import (
     ALL_KINDS,
     MeasureKind,
     RiskPair,
-    _odds_ratio,
-    measure,
+    _measures,
     subset_agrees,
     subset_mask,
 )
 
 __all__ = [
     "Direction",
-    "Tolerance",
     "StratifiedRisks",
     "AgreementReport",
     "CriticalValues",
@@ -50,7 +57,6 @@ __all__ = [
     "critical_values",
     "disagreement_window",
     "sufficient_conditions",
-    "DEFAULT_TOLERANCE",
 ]
 
 
@@ -76,24 +82,7 @@ class Direction(Enum):
         return Direction.NULL
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Equality band for direction classification.
-
-    Exact ties between strata are measure-zero events, but floating
-    arithmetic needs a band; rel_tol acts on the measure scale.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 0.0
-
-    def equal(self, x: float, y: float) -> bool:
-        if math.isinf(x) or math.isinf(y):
-            return x == y
-        return math.isclose(x, y, rel_tol=self.rel_tol, abs_tol=self.abs_tol)
-
-
-DEFAULT_TOLERANCE = Tolerance()
+_TIE_REL_TOL = 1e-9  # the relative band within which two measures tie
 
 
 @dataclass(frozen=True)
@@ -135,17 +124,26 @@ class StratifiedRisks:
         return self.stratum_p.is_strict and self.stratum_q.is_strict
 
 
-def modification_direction(
-    strata: StratifiedRisks,
-    kind: MeasureKind,
-    tolerance: Tolerance = DEFAULT_TOLERANCE,
-) -> Direction:
+def _directions(
+    strata: StratifiedRisks, count: int = len(ALL_KINDS)
+) -> tuple[Direction, ...]:
+    """Directions of the first `count` measures in ALL_KINDS order.
+
+    RR and RR* lead ALL_KINDS, so count=2 compares only the gate pair.
+    """
+    em_p = _measures(strata.stratum_p)[:count]
+    em_q = _measures(strata.stratum_q)[:count]
+    return tuple(
+        Direction.NULL
+        if math.isclose(p, q, rel_tol=_TIE_REL_TOL)
+        else Direction.TOWARD_Q if q > p else Direction.TOWARD_P
+        for p, q in zip(em_p, em_q)
+    )
+
+
+def modification_direction(strata: StratifiedRisks, kind: MeasureKind) -> Direction:
     """Compare one measure across the two strata as extended reals."""
-    em_p = measure(strata.stratum_p, kind)
-    em_q = measure(strata.stratum_q, kind)
-    if tolerance.equal(em_p, em_q):
-        return Direction.NULL
-    return Direction.TOWARD_Q if em_q > em_p else Direction.TOWARD_P
+    return _directions(strata)[kind.bit]
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,6 @@ class AgreementReport:
     agrees: bool
     rr_gate_fired: bool
     fired_conditions: tuple["FiredCondition", ...]
-    tolerance: Tolerance = field(default=DEFAULT_TOLERANCE)
 
     def pair_agrees(self, kind_a: MeasureKind, kind_b: MeasureKind) -> bool:
         return self.pair_matrix[kind_a.bit][kind_b.bit]
@@ -179,15 +176,11 @@ _RR_GATE_MASK = subset_mask((MeasureKind.RR, MeasureKind.RR_STAR))
 
 
 def agree(
-    strata: StratifiedRisks,
-    kinds: Optional[Iterable[MeasureKind]] = None,
-    tolerance: Tolerance = DEFAULT_TOLERANCE,
+    strata: StratifiedRisks, kinds: Optional[Iterable[MeasureKind]] = None
 ) -> AgreementReport:
     """Analyse agreement across the strata; kinds defaults to all six."""
     requested = tuple(kinds) if kinds is not None else ALL_KINDS
-    directions = {
-        kind: modification_direction(strata, kind, tolerance) for kind in ALL_KINDS
-    }
+    directions = dict(zip(ALL_KINDS, _directions(strata)))
     toward_p = subset_mask(k for k, d in directions.items() if d is Direction.TOWARD_P)
     toward_q = subset_mask(k for k, d in directions.items() if d is Direction.TOWARD_Q)
     verdicts = tuple(subset_agrees(toward_p, toward_q, mask) for mask in range(64))
@@ -203,20 +196,16 @@ def agree(
         agrees=verdicts[subset_mask(requested)],
         rr_gate_fired=verdicts[_RR_GATE_MASK],
         fired_conditions=fired,
-        tolerance=tolerance,
     )
 
 
-def rr_gate(
-    strata: StratifiedRisks, tolerance: Tolerance = DEFAULT_TOLERANCE
-) -> bool:
+def rr_gate(strata: StratifiedRisks) -> bool:
     """True when the two relative risks do not conflict.
 
     When the gate fires, all six measures agree; only RR and RR* are
-    evaluated here, which is what makes the gate a cheap screen.
+    compared here, which is what makes the gate a cheap screen.
     """
-    d_rr = modification_direction(strata, MeasureKind.RR, tolerance)
-    d_rr_star = modification_direction(strata, MeasureKind.RR_STAR, tolerance)
+    d_rr, d_rr_star = _directions(strata, 2)
     return d_rr.agrees_with(d_rr_star)
 
 
@@ -243,16 +232,15 @@ def critical_p4(p1: float, p2: float, p3: float, kind: MeasureKind) -> float:
         return p2 + p3 - p1
     if kind is MeasureKind.RR_STAR:
         return 1.0 - (1.0 - p2) * (1.0 - p3) / (1.0 - p1)
+    if kind not in (MeasureKind.OR, MeasureKind.HR, MeasureKind.HR_STAR):
+        raise InputValidationError(f"unknown measure kind {kind!r}")
+    em_p = _measures(RiskPair(p1, p2))[kind.bit]
     if kind is MeasureKind.OR:
-        t = _odds_ratio(p1, p2) * p3 / (1.0 - p3)
+        t = em_p * p3 / (1.0 - p3)
         return 1.0 if math.isinf(t) else t / (1.0 + t)
     if kind is MeasureKind.HR:
-        hr_p = math.log1p(-p2) / math.log1p(-p1)
-        return -math.expm1(hr_p * math.log1p(-p3))  # 1 - (1-p3)^hr_p
-    if kind is MeasureKind.HR_STAR:
-        hr_star_p = math.log(p1) / math.log(p2)
-        return math.exp(math.log(p3) / hr_star_p)  # p3^(1/hr*_p)
-    raise InputValidationError(f"unknown measure kind {kind!r}")
+        return -math.expm1(em_p * math.log1p(-p3))  # 1 - (1-p3)^HR_P
+    return math.exp(math.log(p3) / em_p)  # p3^(1/HR*_P)
 
 
 @dataclass(frozen=True)

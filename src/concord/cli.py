@@ -347,10 +347,7 @@ def _cmd_measures(args: argparse.Namespace) -> ReportEnvelope:
         raise InputValidationError("need --p1 and --p2, or --in FILE")
     if (args.p3 is None) != (args.p4 is None):
         raise InputValidationError("--p3 and --p4 must be given together")
-    if args.infile is not None:
-        strata, inputs = _resolve_strata(args)
-        pairs = {"P": strata.stratum_p, "Q": strata.stratum_q}
-    elif args.p3 is not None:
+    if args.infile is not None or args.p3 is not None:
         strata, inputs = _resolve_strata(args)
         pairs = {"P": strata.stratum_p, "Q": strata.stratum_q}
     else:

@@ -169,62 +169,44 @@ def _check_boundary(pair: RiskPair) -> None:
         )
 
 
-def _rr(a: float, b: float) -> float:
-    if a == 0.0:
-        return math.inf
-    return b / a
+def _strict_measures(a, b, log=math.log, log1p=math.log1p) -> tuple:
+    """The six measures in ALL_KINDS order, for risks strictly inside (0, 1).
 
-
-def _rr_star(a: float, b: float) -> float:
-    if b == 1.0:
-        return math.inf
-    return (1.0 - a) / (1.0 - b)
-
-
-def _hr(a: float, b: float) -> float:
-    # log(1-b)/log(1-a); limits: a=0 -> +inf, b=1 -> +inf, a=1 -> 0, b=0 -> 0.
-    if a == 1.0 or b == 0.0:
-        return 0.0
-    if a == 0.0 or b == 1.0:
-        return math.inf
-    if a == b:
-        return 1.0
-    return math.log1p(-b) / math.log1p(-a)
-
-
-def _hr_star(a: float, b: float) -> float:
-    # log(a)/log(b); limits: a=0 -> +inf, b=1 -> +inf, a=1 -> 0, b=0 -> 0.
-    if a == 1.0 or b == 0.0:
-        return 0.0
-    if a == 0.0 or b == 1.0:
-        return math.inf
-    if a == b:
-        return 1.0
-    return math.log(a) / math.log(b)
-
-
-def _rd(a: float, b: float) -> float:
-    return b - a
-
-
-def _odds_ratio(a: float, b: float) -> float:
-    if a == 0.0 or b == 1.0:
-        return math.inf
-    if a == 1.0 or b == 0.0:
-        return 0.0
-    # factored as RR * RR*: the single fraction b(1-a) / (a(1-b)) can
+    a and b may be floats or arrays; pass numpy's log and log1p for arrays.
+    This is the one copy of the formulas: the scalar path and the simulator
+    both evaluate it.
+    """
+    rr = b / a
+    rr_star = (1.0 - a) / (1.0 - b)
+    # OR is factored as RR * RR*: the single fraction b(1-a) / (a(1-b)) can
     # underflow a subnormal denominator to exact zero
-    return (b / a) * ((1.0 - a) / (1.0 - b))
+    return (rr, rr_star, log1p(-b) / log1p(-a), log(a) / log(b), b - a, rr * rr_star)
 
 
-_FORMULAS = {
-    MeasureKind.RR: _rr,
-    MeasureKind.RR_STAR: _rr_star,
-    MeasureKind.HR: _hr,
-    MeasureKind.HR_STAR: _hr_star,
-    MeasureKind.RD: _rd,
-    MeasureKind.OR: _odds_ratio,
-}
+def _boundary_measures(a: float, b: float) -> tuple[float, ...]:
+    """One-sided limits, in ALL_KINDS order, when a risk lies on 0 or 1.
+
+    HR, HR* and OR tend to +inf as a -> 0 or b -> 1 and to 0 as a -> 1 or
+    b -> 0; RR and RR* tend to +inf as their divisor vanishes.
+    """
+    log_limit = math.inf if a == 0.0 or b == 1.0 else 0.0
+    return (
+        math.inf if a == 0.0 else b / a,
+        math.inf if b == 1.0 else (1.0 - a) / (1.0 - b),
+        log_limit,
+        log_limit,
+        b - a,
+        log_limit,
+    )
+
+
+def _measures(pair: RiskPair) -> tuple[float, ...]:
+    """The six measures of a pair in ALL_KINDS order, as extended reals."""
+    _check_boundary(pair)
+    a, b = pair.p_control, pair.p_exposed
+    if pair.is_strict:
+        return _strict_measures(a, b)
+    return _boundary_measures(a, b)
 
 
 def measure(pair: RiskPair, kind: MeasureKind) -> float:
@@ -233,8 +215,7 @@ def measure(pair: RiskPair, kind: MeasureKind) -> float:
     Boundary risks produce the one-sided limit of the formula; a pair
     with both risks at the same boundary raises UndefinedMeasure.
     """
-    _check_boundary(pair)
-    return _FORMULAS[kind](pair.p_control, pair.p_exposed)
+    return _measures(pair)[kind.bit]
 
 
 @dataclass(frozen=True)
@@ -270,16 +251,7 @@ class MeasureVector:
 
 def measure_vector(pair: RiskPair) -> MeasureVector:
     """Compute all six measures at once."""
-    _check_boundary(pair)
-    a, b = pair.p_control, pair.p_exposed
-    return MeasureVector(
-        rr=_rr(a, b),
-        rr_star=_rr_star(a, b),
-        hr=_hr(a, b),
-        hr_star=_hr_star(a, b),
-        rd=_rd(a, b),
-        odds_ratio=_odds_ratio(a, b),
-    )
+    return MeasureVector(*_measures(pair))
 
 
 class Orientation(enum.Enum):

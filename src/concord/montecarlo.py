@@ -6,6 +6,12 @@ measure subsets whether the subset agreed (no internal pair pointing in
 opposite directions). Frequencies over many trials estimate the
 agreement probabilities.
 
+The measures come from the formulas the scalar path uses,
+measures._strict_measures, evaluated on whole blocks of draws. Directions
+compare the two strata exactly, with no tie band: the draws are
+continuous, so ties have probability zero (the agreement module states
+the scalar tie rule).
+
 Risk distributions:
 
     UNIFORM_UNIT    all four risks iid uniform on (0, 1)
@@ -40,7 +46,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .measures import MeasureKind, mask_members, subset_agrees, subset_mask
+from .measures import (
+    MeasureKind,
+    _strict_measures,
+    mask_members,
+    subset_agrees,
+    subset_mask,
+)
 
 __all__ = [
     "Distribution",
@@ -229,31 +241,8 @@ def _direction_masks(
     p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray
 ) -> np.ndarray:
     """Per-trial key (toward_p_bits << 6) | toward_q_bits over the six kinds."""
-    log_1m_p1 = np.log1p(-p1)
-    log_1m_p2 = np.log1p(-p2)
-    log_1m_p3 = np.log1p(-p3)
-    log_1m_p4 = np.log1p(-p4)
-    log_p1 = np.log(p1)
-    log_p2 = np.log(p2)
-    log_p3 = np.log(p3)
-    log_p4 = np.log(p4)
-
-    em_p = (
-        p2 / p1,                     # RR
-        (1.0 - p1) / (1.0 - p2),     # RR*
-        log_1m_p2 / log_1m_p1,       # HR
-        log_p1 / log_p2,             # HR*
-        p2 - p1,                     # RD
-        (p2 * (1.0 - p1)) / (p1 * (1.0 - p2)),  # OR
-    )
-    em_q = (
-        p4 / p3,
-        (1.0 - p3) / (1.0 - p4),
-        log_1m_p4 / log_1m_p3,
-        log_p3 / log_p4,
-        p4 - p3,
-        (p4 * (1.0 - p3)) / (p3 * (1.0 - p4)),
-    )
+    em_p = _strict_measures(p1, p2, np.log, np.log1p)
+    em_q = _strict_measures(p3, p4, np.log, np.log1p)
     toward_p = np.zeros(p1.shape, dtype=np.uint16)
     toward_q = np.zeros(p1.shape, dtype=np.uint16)
     for bit, (vp, vq) in enumerate(zip(em_p, em_q)):

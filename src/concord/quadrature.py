@@ -41,7 +41,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .agreement import disagreement_window
 from .errors import InputValidationError, ResolutionError
+from .measures import MeasureKind
 
 __all__ = [
     "Region",
@@ -114,18 +116,7 @@ class QuadratureEstimate:
 
 def integrand(p1: float, p2: float, p3: float) -> float:
     """Width of the p4 interval on which RR and RR* disagree."""
-    if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0 and 0.0 < p3 < 1.0):
-        raise InputValidationError("integrand needs risks strictly inside (0, 1)")
-    return float(_integrand_grid(p1, p2, p3))
-
-
-def _integrand_grid(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
-    """The integrand, elementwise; inputs are not validated."""
-    c_rr = p2 * p3 / p1
-    c_rr_star = 1.0 - (1.0 - p2) * (1.0 - p3) / (1.0 - p1)
-    high = np.maximum(c_rr, c_rr_star)
-    low = np.minimum(c_rr, c_rr_star)
-    return np.minimum(1.0, high) - np.maximum(0.0, low)
+    return disagreement_window(p1, p2, p3, MeasureKind.RR, MeasureKind.RR_STAR).width
 
 
 def _clip_antiderivative(y: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from concord.agreement import (
 )
 from concord.casestudies import CASE_NAMES, case_study
 from concord.inference import CountTable, estimate_rrr, modification_test
-from concord.measures import ALL_KINDS, MeasureKind, RiskPair
+from concord.measures import ALL_KINDS, MeasureKind, RiskPair, subset_agrees
 from concord.montecarlo import (
     Distribution,
     SimulationConfig,
@@ -53,10 +53,6 @@ def _seeded_direction_keys(n, seed):
     return keys >> 6, keys & 63
 
 
-def _agrees(toward_p, toward_q, mask):
-    return ((toward_p & mask) == 0) | ((toward_q & mask) == 0)
-
-
 def test_acceptance_01_fixture_reproduction(capsys):
     start = time.perf_counter()
     mismatches = []
@@ -78,8 +74,8 @@ def test_acceptance_02_theorem_gate(capsys):
     start = time.perf_counter()
     n = 100_000
     toward_p, toward_q = _seeded_direction_keys(n, seed=0)
-    gate = _agrees(toward_p, toward_q, subset_mask([RR, RR_STAR]))
-    all_six = _agrees(toward_p, toward_q, subset_mask(ALL_KINDS))
+    gate = subset_agrees(toward_p, toward_q, subset_mask([RR, RR_STAR]))
+    all_six = subset_agrees(toward_p, toward_q, subset_mask(ALL_KINDS))
     violations = int(np.count_nonzero(gate & ~all_six))
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 5.0
@@ -294,8 +290,8 @@ def test_acceptance_08_conjecture_suite(capsys):
         full_mask = pair_mask | subset_mask([implied])
         violations = int(
             np.count_nonzero(
-                _agrees(toward_p, toward_q, pair_mask)
-                & ~_agrees(toward_p, toward_q, full_mask)
+                subset_agrees(toward_p, toward_q, pair_mask)
+                & ~subset_agrees(toward_p, toward_q, full_mask)
             )
         )
         total_violations += violations

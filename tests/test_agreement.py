@@ -7,13 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from concord.agreement import (
-    DEFAULT_TOLERANCE,
     AgreementReport,
     CriticalValues,
     Direction,
     FiredCondition,
     StratifiedRisks,
-    Tolerance,
     Window,
     agree,
     critical_p4,
@@ -95,12 +93,26 @@ def test_equal_infinite_limits_compare_null():
     assert report.agrees  # null RR blocks no one
 
 
-def test_tolerance_band_widens_null():
-    wide = Tolerance(rel_tol=0.5)
-    assert modification_direction(TEXTBOOK, RR, wide) is Direction.NULL
-    assert Tolerance().equal(math.inf, math.inf)
-    assert not Tolerance().equal(math.inf, 5.0)
-    assert Tolerance(abs_tol=0.2).equal(0.0, 0.1)
+@pytest.mark.parametrize(
+    "gap, expected",
+    [
+        (0.5e-9, Direction.NULL),
+        (-0.5e-9, Direction.NULL),
+        (2e-9, Direction.TOWARD_Q),
+        (-2e-9, Direction.TOWARD_P),
+    ],
+)
+def test_ties_are_a_fixed_relative_band(gap, expected):
+    # RR_Q = RR_P * (1 + gap): a tie within a relative 1e-9, a direction beyond
+    s = strata(0.2, 0.4, 0.2, 0.4 * (1.0 + gap))
+    assert modification_direction(s, RR) is expected
+    assert agree(s).directions[RR] is expected
+
+
+def test_infinities_tie_only_each_other():
+    assert modification_direction(strata(0.0, 0.3, 0.0, 0.5), RR) is Direction.NULL
+    assert modification_direction(strata(0.0, 0.3, 0.2, 0.5), RR) is Direction.TOWARD_P
+    assert modification_direction(strata(0.2, 0.5, 0.0, 0.3), RR) is Direction.TOWARD_Q
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +310,7 @@ def test_critical_point_reproduces_the_measure(p1, p2, p3):
         # the direction is NULL only where a step either side of c stays
         # inside the tolerance band: not where the measure is steep, as OR
         # is near p4 = 1, nor where it is near 0 on an absolute scale
-        if DEFAULT_TOLERANCE.equal(em_p, below) and DEFAULT_TOLERANCE.equal(em_p, above):
+        if math.isclose(em_p, below, rel_tol=1e-9) and math.isclose(em_p, above, rel_tol=1e-9):
             s = strata(p1, p2, p3, c)
             assert modification_direction(s, kind) is Direction.NULL, kind
 

@@ -117,12 +117,11 @@ BOUNDARY_CASES = [
 @pytest.mark.parametrize("probs,expected", BOUNDARY_CASES)
 def test_boundary_limits(probs, expected):
     pair = RiskPair(*probs)
-    for kind, want in zip(ALL_KINDS, expected):
-        got = measure(pair, kind)
-        if math.isinf(want):
-            assert got == want, kind
-        else:
-            assert got == pytest.approx(want), kind
+    got = tuple(measure(pair, kind) for kind in ALL_KINDS)
+    assert got == expected
+    # str() tells 0.0 from -0.0, which == does not
+    assert [str(v) for v in got] == [str(v) for v in expected]
+    assert tuple(measure_vector(pair)) == got
 
 
 @pytest.mark.parametrize("probs", [(0.0, 0.0), (1.0, 1.0)])

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from concord.agreement import Direction, StratifiedRisks, agree
+from concord.agreement import Direction, StratifiedRisks, agree, critical_p4
 from concord.errors import ConfigError, DomainError
-from concord.measures import ALL_KINDS, MeasureKind
+from concord.measures import ALL_KINDS, MeasureKind, RiskPair, measure_vector
 from concord.montecarlo import (
     Distribution,
     SimulationConfig,
@@ -153,18 +153,36 @@ def test_draw_block_ranges():
     assert np.all((p4 >= 0.2) & (p4 <= 0.8))
 
 
-def test_direction_masks_match_scalar_path():
-    rng = np.random.default_rng(5)
-    p = rng.uniform(0.01, 0.99, size=(4, 200))
-    keys = _direction_masks(p[0], p[1], p[2], p[3])
-    for t in range(p.shape[1]):
-        report = agree(StratifiedRisks.from_probs(*(float(v) for v in p[:, t])))
-        toward_p = int(keys[t]) >> 6
-        toward_q = int(keys[t]) & 63
-        for kind in ALL_KINDS:
-            d = report.directions[kind]
-            assert ((toward_p >> kind.bit) & 1) == (d is Direction.TOWARD_P), kind
-            assert ((toward_q >> kind.bit) & 1) == (d is Direction.TOWARD_Q), kind
+open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+near_ties = st.one_of(
+    st.none(), st.tuples(st.sampled_from(ALL_KINDS), st.integers(min_value=-4, max_value=4))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(open_unit, open_unit, open_unit, open_unit, near_ties)
+def test_direction_keys_match_agree_outside_the_tie_band(p1, p2, p3, p4, near_tie):
+    # agree() ties measures within a relative 1e-9 and the kernel compares
+    # exactly, so the two must give the same direction everywhere else;
+    # p4 is often moved to within a few ulp of a critical value
+    if near_tie is not None:
+        kind, steps = near_tie
+        c = critical_p4(p1, p2, p3, kind)
+        p4 = c + steps * math.ulp(c)
+        assume(0.0 < p4 < 1.0)
+    with np.errstate(all="ignore"):
+        key = int(_direction_masks(*(np.array([p]) for p in (p1, p2, p3, p4)))[0])
+        twin = int(_direction_masks(*(np.array([p]) for p in (p1, p2, p1, p2)))[0])
+    assert twin == 0  # identical strata tie exactly on every measure
+    report = agree(StratifiedRisks.from_probs(p1, p2, p3, p4))
+    em_p = measure_vector(RiskPair(p1, p2))
+    em_q = measure_vector(RiskPair(p3, p4))
+    for kind, vp, vq in zip(ALL_KINDS, em_p, em_q):
+        if math.isclose(vp, vq, rel_tol=1e-9):
+            continue
+        d = report.directions[kind]
+        assert ((key >> (6 + kind.bit)) & 1) == (d is Direction.TOWARD_P), kind
+        assert ((key >> kind.bit) & 1) == (d is Direction.TOWARD_Q), kind
 
 
 # ---------------------------------------------------------------------------
