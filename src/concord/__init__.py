@@ -73,7 +73,6 @@ from .montecarlo import (
 )
 from .quadrature import (
     QuadratureEstimate,
-    QuadratureSpec,
     Region,
     integrand,
     region_a_parts,
@@ -151,7 +150,6 @@ __all__ = [
     "venn_table",
     # quadrature
     "QuadratureEstimate",
-    "QuadratureSpec",
     "Region",
     "integrand",
     "region_a_parts",

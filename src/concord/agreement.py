@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .errors import InputValidationError
 from .measures import (
@@ -97,11 +97,8 @@ class StratifiedRisks:
     stratum_q: RiskPair
 
     @classmethod
-    def from_probs(
-        cls, p1: float, p2: float, p3: float, p4: float, strict: bool = False
-    ) -> "StratifiedRisks":
-        make = RiskPair.strict if strict else RiskPair
-        return cls(make(p1, p2), make(p3, p4))
+    def from_probs(cls, p1: float, p2: float, p3: float, p4: float) -> StratifiedRisks:
+        return cls(RiskPair(p1, p2), RiskPair(p3, p4))
 
     @property
     def p1(self) -> float:
@@ -153,11 +150,10 @@ class AgreementReport:
     directions maps every kind to its Direction; pair_matrix is the
     symmetric 6x6 agreement table in ALL_KINDS order; subset_verdicts is
     indexed by bitmask (bit i = ALL_KINDS[i]); agrees is the verdict for
-    the requested kinds.
+    all six measures, and subset_agrees gives the verdict for any subset.
     """
 
     strata: StratifiedRisks
-    kinds: tuple[MeasureKind, ...]
     directions: Mapping[MeasureKind, Direction]
     pair_matrix: tuple[tuple[bool, ...], ...]
     subset_verdicts: tuple[bool, ...]
@@ -173,13 +169,11 @@ class AgreementReport:
 
 
 _RR_GATE_MASK = subset_mask((MeasureKind.RR, MeasureKind.RR_STAR))
+_ALL_SIX_MASK = subset_mask(ALL_KINDS)
 
 
-def agree(
-    strata: StratifiedRisks, kinds: Optional[Iterable[MeasureKind]] = None
-) -> AgreementReport:
-    """Analyse agreement across the strata; kinds defaults to all six."""
-    requested = tuple(kinds) if kinds is not None else ALL_KINDS
+def agree(strata: StratifiedRisks) -> AgreementReport:
+    """Analyse the agreement of all six measures across the strata."""
     directions = dict(zip(ALL_KINDS, _directions(strata)))
     toward_p = subset_mask(k for k, d in directions.items() if d is Direction.TOWARD_P)
     toward_q = subset_mask(k for k, d in directions.items() if d is Direction.TOWARD_Q)
@@ -189,11 +183,10 @@ def agree(
     fired = sufficient_conditions(strata) if strata.is_strict else ()
     return AgreementReport(
         strata=strata,
-        kinds=requested,
         directions=directions,
         pair_matrix=matrix,
         subset_verdicts=verdicts,
-        agrees=verdicts[subset_mask(requested)],
+        agrees=verdicts[_ALL_SIX_MASK],
         rr_gate_fired=verdicts[_RR_GATE_MASK],
         fired_conditions=fired,
     )

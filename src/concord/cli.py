@@ -43,8 +43,10 @@ from .measures import (
     measure_vector,
 )
 from .agreement import (
+    AgreementReport,
     StratifiedRisks,
     agree,
+    critical_p4,
     critical_values,
     disagreement_window,
 )
@@ -56,7 +58,6 @@ from .montecarlo import (
 )
 from .quadrature import (
     QuadratureEstimate,
-    QuadratureSpec,
     Region,
     region_a_parts,
     region_probability,
@@ -358,6 +359,14 @@ def _cmd_measures(args: argparse.Namespace) -> ReportEnvelope:
     return ReportEnvelope(command="measures", inputs=inputs, results=results)
 
 
+def _verdict_payload(report: AgreementReport) -> dict:
+    return {
+        "directions": {kind.value: report.directions[kind].value for kind in ALL_KINDS},
+        "agrees": report.agrees,
+        "rr_gate": report.rr_gate_fired,
+    }
+
+
 def _cmd_agree(args: argparse.Namespace) -> ReportEnvelope:
     strata, inputs = _resolve_strata(args)
     report = agree(strata)
@@ -372,11 +381,7 @@ def _cmd_agree(args: argparse.Namespace) -> ReportEnvelope:
             "P": measure_vector(strata.stratum_p).as_dict(),
             "Q": measure_vector(strata.stratum_q).as_dict(),
         },
-        "directions": {
-            kind.value: report.directions[kind].value for kind in ALL_KINDS
-        },
-        "agrees": report.agrees,
-        "rr_gate": report.rr_gate_fired,
+        **_verdict_payload(report),
         "disagreeing_pairs": disagreeing,
         "fired_conditions": [
             {
@@ -405,15 +410,14 @@ def _cmd_window(args: argparse.Namespace) -> ReportEnvelope:
     kind_a = MeasureKind(args.kind_a)
     kind_b = MeasureKind(args.kind_b)
     window = disagreement_window(args.p1, args.p2, args.p3, kind_a, kind_b)
-    values = critical_values(args.p1, args.p2, args.p3)
     results = {
         "lower": window.lower,
         "upper": window.upper,
         "width": window.width,
         "is_empty": window.is_empty,
         "critical_p4": {
-            kind_a.value: values.value(kind_a),
-            kind_b.value: values.value(kind_b),
+            kind.value: critical_p4(args.p1, args.p2, args.p3, kind)
+            for kind in (kind_a, kind_b)
         },
     }
     return ReportEnvelope(
@@ -468,9 +472,10 @@ def _estimate_payload(estimate: QuadratureEstimate) -> dict:
 
 
 def _cmd_exact(args: argparse.Namespace) -> ReportEnvelope:
-    spec = QuadratureSpec(resolution=args.resolution)
-    regions = {region.value: region_probability(region, spec) for region in Region}
-    parts = region_a_parts(spec)
+    regions = {
+        region.value: region_probability(region, args.resolution) for region in Region
+    }
+    parts = region_a_parts(args.resolution)
     results = {
         "regions": {
             name: _estimate_payload(estimate) for name, estimate in regions.items()
@@ -488,7 +493,7 @@ def _cmd_exact(args: argparse.Namespace) -> ReportEnvelope:
     }
     return ReportEnvelope(
         command="exact",
-        inputs={"scheme": spec.scheme, "resolution": args.resolution},
+        inputs={"scheme": "midpoint-grid", "resolution": args.resolution},
         results=results,
     )
 
@@ -577,14 +582,7 @@ def _cmd_case(args: argparse.Namespace) -> ReportEnvelope:
         "mismatches": mismatches,
     }
     if study.has_both_strata:
-        report = agree(study.strata)
-        results["agreement"] = {
-            "directions": {
-                kind.value: report.directions[kind].value for kind in ALL_KINDS
-            },
-            "agrees": report.agrees,
-            "rr_gate": report.rr_gate_fired,
-        }
+        results["agreement"] = _verdict_payload(agree(study.strata))
     return ReportEnvelope(
         command="case", inputs={"name": args.name}, results=results
     )

@@ -33,7 +33,7 @@ class ConfigError(ConcordError, ValueError):
 
 
 class ResolutionError(ConfigError):
-    """A quadrature resolution is unsupported or cannot meet its tolerance."""
+    """A quadrature resolution is not an integer number of cells >= 8."""
 
 
 class DegenerateCell(ConcordError, ValueError):

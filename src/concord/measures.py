@@ -47,16 +47,11 @@ __all__ = [
 ]
 
 
-def _require_unit_interval(name: str, value: float, strict: bool) -> float:
+def _require_unit_interval(name: str, value: float) -> float:
     value = float(value)
     if math.isnan(value):
         raise InputValidationError(f"{name} must be a number, got NaN")
-    if strict:
-        if not 0.0 < value < 1.0:
-            raise InputValidationError(
-                f"{name} must lie strictly inside (0, 1), got {value!r}"
-            )
-    elif not 0.0 <= value <= 1.0:
+    if not 0.0 <= value <= 1.0:
         raise InputValidationError(f"{name} must lie in [0, 1], got {value!r}")
     return value
 
@@ -124,8 +119,8 @@ class RiskPair:
     """Risks of one stratum: control group then exposed group.
 
     Both risks must lie in [0, 1]. Boundary values are accepted here and
-    resolved to one-sided limits (or UndefinedMeasure) by measure().
-    Use strict() when a computation needs the open interval.
+    resolved to one-sided limits (or UndefinedMeasure) by measure();
+    is_strict tells whether both lie inside the open interval.
     """
 
     p_control: float
@@ -133,18 +128,11 @@ class RiskPair:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "p_control", _require_unit_interval("p_control", self.p_control, False)
+            self, "p_control", _require_unit_interval("p_control", self.p_control)
         )
         object.__setattr__(
-            self, "p_exposed", _require_unit_interval("p_exposed", self.p_exposed, False)
+            self, "p_exposed", _require_unit_interval("p_exposed", self.p_exposed)
         )
-
-    @classmethod
-    def strict(cls, p_control: float, p_exposed: float) -> "RiskPair":
-        """Construct a pair whose risks must lie strictly inside (0, 1)."""
-        _require_unit_interval("p_control", p_control, True)
-        _require_unit_interval("p_exposed", p_exposed, True)
-        return cls(p_control, p_exposed)
 
     @property
     def is_strict(self) -> bool:

@@ -91,6 +91,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         lower, upper = self.bounds
         if not (0.0 <= lower < upper <= 1.0):
             raise ConfigError(
@@ -98,6 +100,11 @@ class SimulationConfig:
             )
         if not isinstance(self.distribution, Distribution):
             raise ConfigError(f"unknown distribution {self.distribution!r}")
+        tent = self.distribution is Distribution.TENT_DEPENDENT
+        if not tent and (lower, upper) != (0.0, 1.0):
+            raise ConfigError(
+                f"bounds apply only to the tent distribution, got {self.bounds}"
+            )
 
 
 @dataclass(frozen=True)

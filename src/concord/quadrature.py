@@ -26,10 +26,8 @@ midpoint rule on an n^2 grid, mapped onto each region by a box transform
 so the grid never touches the singular planes; it converges as O(h^2).
 The grid is evaluated in blocks of p1 rows of about 8k points each, which
 keeps the temporaries small. The reported error bound is the difference
-from the half-resolution estimate. In the adaptive scheme the tolerance
-applies to each integral separately, so the error of `total_probability`
-is the sum of the four region errors; a run that reaches `_MAX_CELLS`
-cells per axis without meeting its tolerance raises `ResolutionError`.
+from the half-resolution estimate; the error of `total_probability` is
+the sum of the four region errors.
 """
 
 from __future__ import annotations
@@ -42,12 +40,11 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .agreement import disagreement_window
-from .errors import InputValidationError, ResolutionError
+from .errors import ResolutionError
 from .measures import MeasureKind
 
 __all__ = [
     "Region",
-    "QuadratureSpec",
     "QuadratureEstimate",
     "integrand",
     "region_probability",
@@ -57,7 +54,6 @@ __all__ = [
 ]
 
 _MIN_CELLS = 8
-_MAX_CELLS = 2048  # adaptive refinement gives up beyond this many cells per axis
 _BLOCK_POINTS = 8192  # (p1, p2) grid points evaluated per vectorised block
 
 
@@ -76,35 +72,6 @@ class Region(enum.Enum):
             Region.C: p1 < p2 and p1 > p3,
             Region.D: p1 > p2 and p1 > p3,
         }[self]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """scheme 'midpoint-grid': resolution = cells per axis (>= 8).
-
-    scheme 'adaptive': resolution = absolute error tolerance; the grid is
-    refined dyadically from 32 cells per axis until the successive-
-    refinement error estimate drops below the tolerance, or raises
-    ResolutionError once it would need more than 2048 cells per axis.
-    """
-
-    scheme: str = "midpoint-grid"
-    resolution: float = 256
-
-    def __post_init__(self) -> None:
-        if self.scheme not in ("midpoint-grid", "adaptive"):
-            raise InputValidationError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.scheme == "midpoint-grid":
-            cells = int(self.resolution)
-            if cells != self.resolution or cells < _MIN_CELLS:
-                raise ResolutionError(
-                    f"grid scheme needs an integer resolution >= {_MIN_CELLS}, "
-                    f"got {self.resolution!r}"
-                )
-        elif not 0.0 < self.resolution < 1.0:
-            raise ResolutionError(
-                f"adaptive scheme needs a tolerance in (0, 1), got {self.resolution!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -179,44 +146,31 @@ def _grid_sum(
     return total / cells**2
 
 
-def _with_error(
-    evaluate: Callable[[int], float], spec: QuadratureSpec
-) -> QuadratureEstimate:
-    """Run `evaluate` per the QuadratureSpec, reporting the refinement error."""
-    if spec.scheme == "midpoint-grid":
-        cells = int(spec.resolution)
-        coarse = evaluate(max(_MIN_CELLS // 2, cells // 2))
-        fine = evaluate(cells)
-        return QuadratureEstimate(value=fine, error=abs(fine - coarse), resolution=cells)
-    tolerance = spec.resolution
-    cells = 32
-    previous = evaluate(cells)
-    while True:
-        cells *= 2
-        current = evaluate(cells)
-        error = abs(current - previous)
-        if error <= tolerance:
-            return QuadratureEstimate(value=current, error=error, resolution=cells)
-        if cells >= _MAX_CELLS:
-            raise ResolutionError(
-                f"adaptive quadrature did not reach tolerance {tolerance:g}: "
-                f"error {error:.3g} at {cells} cells per axis, the maximum"
-            )
-        previous = current
+def _with_error(evaluate: Callable[[int], float], cells: int) -> QuadratureEstimate:
+    """Evaluate on `cells` cells per axis, reporting the refinement error."""
+    if not float(cells).is_integer() or cells < _MIN_CELLS:
+        raise ResolutionError(
+            f"grid scheme needs an integer resolution >= {_MIN_CELLS}, got {cells!r}"
+        )
+    cells = int(cells)
+    coarse = evaluate(cells // 2)
+    fine = evaluate(cells)
+    return QuadratureEstimate(value=fine, error=abs(fine - coarse), resolution=cells)
 
 
-def region_probability(
-    region: Region, spec: QuadratureSpec = QuadratureSpec()
-) -> QuadratureEstimate:
-    """Integral of the disagreement width over one region (exactly 1/24)."""
+def region_probability(region: Region, resolution: int = 256) -> QuadratureEstimate:
+    """Integral of the disagreement width over one region (exactly 1/24).
+
+    resolution is the number of grid cells per axis, an integer >= 8.
+    """
     p2_below = region in (Region.B, Region.D)
     evaluate = partial(_grid_sum, partial(_region_inner, region), p2_below)
-    return _with_error(evaluate, spec)
+    return _with_error(evaluate, resolution)
 
 
-def total_probability(spec: QuadratureSpec = QuadratureSpec()) -> QuadratureEstimate:
+def total_probability(resolution: int = 256) -> QuadratureEstimate:
     """Integral over all four regions (exactly 1/6)."""
-    return sum_estimates(region_probability(region, spec) for region in Region)
+    return sum_estimates(region_probability(region, resolution) for region in Region)
 
 
 def sum_estimates(estimates: Iterable[QuadratureEstimate]) -> QuadratureEstimate:
@@ -230,7 +184,7 @@ def sum_estimates(estimates: Iterable[QuadratureEstimate]) -> QuadratureEstimate
 
 
 def region_a_parts(
-    spec: QuadratureSpec = QuadratureSpec(),
+    resolution: int = 256,
 ) -> tuple[QuadratureEstimate, QuadratureEstimate, QuadratureEstimate]:
     """The three closed-form pieces of region A: 1/16, 1/4, 13/48.
 
@@ -239,6 +193,6 @@ def region_a_parts(
     integral (1/24).
     """
     return tuple(
-        _with_error(partial(_grid_sum, partial(_part_inner, part), False), spec)
+        _with_error(partial(_grid_sum, partial(_part_inner, part), False), resolution)
         for part in (1, 2, 3)
     )  # type: ignore[return-value]

@@ -70,12 +70,12 @@ class ReportEnvelope:
             "results": self.results,
         }
 
-    def to_json(self, digits: Optional[int] = None, indent: int = 2) -> str:
-        """Serialize; digits rounds floats for display, None keeps full precision."""
+    def to_json(self, digits: Optional[int] = None) -> str:
+        """Serialize with indent 2; digits rounds floats, None keeps full precision."""
         payload = self.to_payload()
         if digits is not None:
             payload = _round_floats(payload, digits)
-        return json.dumps(payload, indent=indent, allow_nan=True)
+        return json.dumps(payload, indent=2, allow_nan=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ReportEnvelope":

@@ -28,7 +28,7 @@ from concord.montecarlo import (
     run,
     subset_mask,
 )
-from concord.quadrature import QuadratureSpec, Region, region_a_parts, region_probability
+from concord.quadrature import Region, region_a_parts, region_probability
 
 RR = MeasureKind.RR
 RR_STAR = MeasureKind.RR_STAR
@@ -191,9 +191,8 @@ def test_acceptance_05_tent_disagreement(capsys):
 
 def test_acceptance_06_quadrature(capsys):
     start = time.perf_counter()
-    spec = QuadratureSpec(resolution=256)
-    regions = {region: region_probability(region, spec) for region in Region}
-    parts = region_a_parts(spec)
+    regions = {region: region_probability(region, 256) for region in Region}
+    parts = region_a_parts(256)
     elapsed = time.perf_counter() - start
     total = sum(estimate.value for estimate in regions.values())
     worst_region = max(abs(e.value - 1 / 24) for e in regions.values())

@@ -153,8 +153,9 @@ def test_pair_matrix_symmetric_with_true_diagonal():
 
 def test_requested_kinds_drive_verdict():
     # RD and RR* point the same way in the textbook data, RR does not
-    assert agree(TEXTBOOK, [RD, RR_STAR]).agrees
-    assert not agree(TEXTBOOK, [RR, RD]).agrees
+    report = agree(TEXTBOOK)
+    assert report.subset_agrees([RD, RR_STAR])
+    assert not report.subset_agrees([RR, RD])
 
 
 def test_subset_agrees_matches_verdicts():

@@ -200,7 +200,7 @@ def test_window(capsys):
     assert results["lower"] == 0.3778
     assert results["upper"] == 0.6
     assert results["is_empty"] is False
-    assert results["critical_p4"]["RR"] == 0.6
+    assert results["critical_p4"] == {"RR": 0.6, "RR*": 0.3778}
 
 
 def test_window_rejects_unknown_kind(capsys):
@@ -245,6 +245,11 @@ def test_simulate_seed_from_environment(capsys, monkeypatch):
     assert code == 1
     assert "CONCORD_SEED" in err
 
+    monkeypatch.setenv("CONCORD_SEED", "-5")
+    code, out, err = run_cli(capsys, "simulate", "--trials", "1000")
+    assert code == 1
+    assert err.startswith("error: seed must be >= 0")
+
 
 def test_simulate_tent_with_bounds(capsys):
     payload = run_json(
@@ -263,6 +268,8 @@ def test_simulate_tent_with_bounds(capsys):
         ("simulate", "--bounds", "nonsense"),
         ("simulate", "--dist", "gaussian"),
         ("simulate", "--trials", "100", "--bounds", "0.9,0.1"),
+        ("simulate", "--trials", "100", "--seed", "-1"),
+        ("simulate", "--trials", "100", "--dist", "uniform", "--bounds", "0.2,0.5"),
     ],
 )
 def test_simulate_bad_flags_exit_1(capsys, argv):

@@ -49,14 +49,6 @@ def test_riskpair_allows_boundaries():
     assert not RiskPair(0.0, 1.0).is_strict
 
 
-def test_strict_constructor():
-    with pytest.raises(InputValidationError):
-        RiskPair.strict(0.0, 0.3)
-    with pytest.raises(InputValidationError):
-        RiskPair.strict(0.3, 1.0)
-    assert RiskPair.strict(0.2, 0.3) == RiskPair(0.2, 0.3)
-
-
 def test_opposite_swaps_and_complements():
     pair = RiskPair(0.2, 0.3)
     opp = pair.opposite

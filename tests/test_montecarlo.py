@@ -198,6 +198,10 @@ def test_config_validation():
         SimulationConfig(trials=10, bounds=(-0.1, 0.5))
     with pytest.raises(ConfigError):
         SimulationConfig(trials=10, distribution="uniform")
+    with pytest.raises(ConfigError):
+        SimulationConfig(trials=10, seed=-1)
+    with pytest.raises(ConfigError, match="only to the tent distribution"):
+        SimulationConfig(trials=10, bounds=(0.2, 0.5))
 
 
 def test_subset_mask_values():

@@ -10,7 +10,6 @@ from concord import quadrature
 from concord.errors import InputValidationError, ResolutionError
 from concord.quadrature import (
     QuadratureEstimate,
-    QuadratureSpec,
     Region,
     integrand,
     region_a_parts,
@@ -21,7 +20,7 @@ from concord.quadrature import (
 
 strict = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
-FAST = QuadratureSpec(resolution=64)
+FAST = 64
 
 
 # ---------------------------------------------------------------------------
@@ -74,17 +73,9 @@ def test_region_membership():
 
 
 def test_spec_validation():
-    with pytest.raises(InputValidationError):
-        QuadratureSpec(scheme="simpson")
-    with pytest.raises(ResolutionError):
-        QuadratureSpec(resolution=4)
-    with pytest.raises(ResolutionError):
-        QuadratureSpec(resolution=32.5)
-    with pytest.raises(ResolutionError):
-        QuadratureSpec(scheme="adaptive", resolution=2.0)
-    with pytest.raises(ResolutionError):
-        QuadratureSpec(scheme="adaptive", resolution=0.0)
-    assert QuadratureSpec(scheme="adaptive", resolution=0.01).resolution == 0.01
+    for resolution in (4, 32.5, 0, math.nan, math.inf):
+        with pytest.raises(ResolutionError, match="integer resolution >= 8"):
+            region_probability(Region.A, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +125,11 @@ def test_parts_recombine_into_region_a():
 
 
 def test_estimates_are_plain_floats():
-    spec = QuadratureSpec(resolution=16)
     estimates = [
-        region_probability(Region.A, spec),
-        total_probability(spec),
-        sum_estimates(region_a_parts(spec)),
-        *region_a_parts(spec),
+        region_probability(Region.A, 16),
+        total_probability(16),
+        sum_estimates(region_a_parts(16)),
+        *region_a_parts(16),
     ]
     for estimate in estimates:
         assert type(estimate.value) is float
@@ -186,7 +176,7 @@ def test_inner_integral_matches_a_fine_midpoint_sum(region, a, b):
 @pytest.mark.parametrize("region", list(Region))
 def test_grid_converges_at_second_order(region):
     errors = [
-        region_probability(region, QuadratureSpec(resolution=n)).value - 1 / 24
+        region_probability(region, n).value - 1 / 24
         for n in (32, 64, 128, 256)
     ]
     for coarse, fine in zip(errors, errors[1:]):
@@ -194,19 +184,7 @@ def test_grid_converges_at_second_order(region):
 
 
 def test_refinement_shrinks_the_error():
-    coarse = region_probability(Region.A, QuadratureSpec(resolution=16))
-    fine = region_probability(Region.A, QuadratureSpec(resolution=128))
+    coarse = region_probability(Region.A, 16)
+    fine = region_probability(Region.A, 128)
     assert abs(fine.value - 1 / 24) < abs(coarse.value - 1 / 24)
 
-
-def test_adaptive_scheme_meets_tolerance():
-    estimate = region_probability(Region.A, QuadratureSpec("adaptive", 0.001))
-    assert estimate.error <= 0.001
-    assert estimate.value == pytest.approx(1 / 24, abs=3e-3)
-    assert estimate.resolution >= 64
-
-
-def test_adaptive_scheme_raises_at_the_cell_cap(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_CELLS", 64)
-    with pytest.raises(ResolutionError, match=r"tolerance 1e-09: error \S+ at 64 cells"):
-        region_probability(Region.A, QuadratureSpec("adaptive", 1e-9))
