@@ -12,6 +12,16 @@ compare the two strata exactly, with no tie band: the draws are
 continuous, so ties have probability zero (the agreement module states
 the scalar tie rule).
 
+Only trials whose RR and RR* point in opposite directions go through the
+six-measure kernel, _direction_masks; under uniform risks that is about
+one in six. By the paper's gate theorem, a trial where RR and RR* do not
+conflict has no measure pointing toward P and another toward Q, so every
+one of the 64 subsets agrees on it, exactly as on the all-tie key 0, and
+run counts it there. The screen uses the kernel's own float expressions
+and strict comparisons; test_gate_flags_exactly_the_two_sided_keys checks
+on drawn blocks that it flags exactly the trials whose full-kernel key
+has bits on both sides.
+
 Risk distributions:
 
     UNIFORM_UNIT    all four risks iid uniform on (0, 1)
@@ -41,7 +51,7 @@ import enum
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -97,6 +107,10 @@ class SimulationConfig:
         if not (0.0 <= lower < upper <= 1.0):
             raise ConfigError(
                 f"bounds must satisfy 0 <= lower < upper <= 1, got {self.bounds}"
+            )
+        if math.nextafter(lower, upper) >= upper:
+            raise ConfigError(
+                f"no risk lies strictly between the bounds, got {self.bounds}"
             )
         if not isinstance(self.distribution, Distribution):
             raise ConfigError(f"unknown distribution {self.distribution!r}")
@@ -218,6 +232,23 @@ def _tent_ppf_array(
     return np.where(u * span <= peak - lower, left, right)
 
 
+def _redraw_on_bounds(
+    values: np.ndarray,
+    redraw: Callable[[np.ndarray], np.ndarray],
+    lower: float,
+    upper: float,
+) -> np.ndarray:
+    """Replace, in place, the values outside the open interval (lower, upper).
+
+    redraw(bad) returns fresh draws for values[bad].
+    """
+    bad = (values <= lower) | (values >= upper)
+    while bad.any():
+        values[bad] = redraw(bad)
+        bad = (values <= lower) | (values >= upper)
+    return values
+
+
 def _draw_block(
     rng: np.random.Generator, n: int, config: SimulationConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -228,19 +259,24 @@ def _draw_block(
         return tuple(0.1 * _open_uniform(rng, n) for _ in range(4))  # type: ignore[return-value]
     lower, upper = config.bounds
     span = upper - lower
-    p1 = lower + span * _open_uniform(rng, n)
-    p3 = lower + span * _open_uniform(rng, n)
-    p2 = _tent_ppf_array(_open_uniform(rng, n), p1, lower, upper)
-    p4 = _tent_ppf_array(_open_uniform(rng, n), p3, lower, upper)
-    # Floating rounding can park a draw exactly on 0 or 1, where measures
-    # lose their limits; redraw those trials' exposed risks.
-    for exposed, peak in ((p2, p1), (p4, p3)):
-        bad = (exposed <= 0.0) | (exposed >= 1.0)
-        while bad.any():
-            exposed[bad] = _tent_ppf_array(
-                _open_uniform(rng, int(bad.sum())), peak[bad], lower, upper
-            )
-            bad = (exposed <= 0.0) | (exposed >= 1.0)
+
+    def control(size: int) -> np.ndarray:
+        return lower + span * _open_uniform(rng, size)
+
+    def exposed(peak: np.ndarray) -> np.ndarray:
+        return _tent_ppf_array(_open_uniform(rng, peak.size), peak, lower, upper)
+
+    # Floating rounding can park a draw exactly on a bound. A control risk
+    # on L or U is no tent peak (the exposed redraw below could then spin
+    # forever), and an exposed risk on 0 or 1 loses the measures' limits,
+    # so such draws are redrawn.
+    p1, p3 = (
+        _redraw_on_bounds(control(n), lambda bad: control(int(bad.sum())), lower, upper)
+        for _ in range(2)
+    )
+    p2, p4 = exposed(p1), exposed(p3)
+    for risk, peak in ((p2, p1), (p4, p3)):
+        _redraw_on_bounds(risk, lambda bad: exposed(peak[bad]), 0.0, 1.0)
     return p1, p2, p3, p4
 
 
@@ -268,6 +304,20 @@ def _counts_from_histogram(hist: np.ndarray) -> tuple[int, ...]:
     )
 
 
+def _gate_conflicts(
+    p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray
+) -> np.ndarray:
+    """Trials whose RR and RR* point in opposite directions, strictly.
+
+    RR and RR* are the float expressions of measures._strict_measures and
+    the comparisons are those of _direction_masks, so a tie in either
+    measure never conflicts.
+    """
+    rr_p, rr_q = p2 / p1, p4 / p3
+    star_p, star_q = (1.0 - p1) / (1.0 - p2), (1.0 - p3) / (1.0 - p4)
+    return ((rr_q < rr_p) & (star_q > star_p)) | ((rr_q > rr_p) & (star_q < star_p))
+
+
 def run(config: SimulationConfig) -> SimulationResult:
     """Run the simulation; deterministic for a fixed seed."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
@@ -275,9 +325,12 @@ def run(config: SimulationConfig) -> SimulationResult:
     remaining = config.trials
     while remaining > 0:
         block = min(_BLOCK, remaining)
-        p1, p2, p3, p4 = _draw_block(rng, block, config)
-        keys = _direction_masks(p1, p2, p3, p4)
+        draws = _draw_block(rng, block, config)
+        conflicts = np.flatnonzero(_gate_conflicts(*draws))
+        keys = _direction_masks(*(p[conflicts] for p in draws))
         hist += np.bincount(keys, minlength=4096)
+        # every other trial agrees on all 64 subsets, as key 0 does
+        hist[0] += block - keys.size
         remaining -= block
     return SimulationResult(
         config=config, trials=config.trials, counts=_counts_from_histogram(hist)

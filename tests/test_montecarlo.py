@@ -11,11 +11,14 @@ from concord.agreement import Direction, StratifiedRisks, agree, critical_p4
 from concord.errors import ConfigError, DomainError
 from concord.measures import ALL_KINDS, MeasureKind, RiskPair, measure_vector
 from concord.montecarlo import (
+    _BLOCK,
     Distribution,
     SimulationConfig,
     SimulationResult,
+    _counts_from_histogram,
     _direction_masks,
     _draw_block,
+    _gate_conflicts,
     _open_uniform,
     _tent_ppf_array,
     quadruple_density,
@@ -153,6 +156,50 @@ def test_draw_block_ranges():
     assert np.all((p4 >= 0.2) & (p4 <= 0.8))
 
 
+def test_draw_block_keeps_control_risks_off_the_bounds():
+    # span * u rounds onto U = 1 about once in 2000 draws at these bounds
+    bounds = (0.9999999999999, 1.0)
+    cfg = SimulationConfig(
+        trials=1, distribution=Distribution.TENT_DEPENDENT, bounds=bounds
+    )
+    p1, p2, p3, p4 = _draw_block(np.random.default_rng(0), 10_000, cfg)
+    for control in (p1, p3):
+        assert np.all((control > bounds[0]) & (control < bounds[1]))
+    for exposed in (p2, p4):
+        assert np.all((exposed >= bounds[0]) & (exposed < bounds[1]))
+
+
+# The four draw models, as (distribution, bounds).
+DRAW_MODELS = [
+    (Distribution.UNIFORM_UNIT, (0.0, 1.0)),
+    (Distribution.UNIFORM_RARE, (0.0, 1.0)),
+    (Distribution.TENT_DEPENDENT, (0.0, 1.0)),
+    (Distribution.TENT_DEPENDENT, (0.2, 0.8)),
+]
+
+
+@pytest.mark.parametrize("dist, bounds", DRAW_MODELS)
+def test_gate_flags_exactly_the_two_sided_keys(dist, bounds):
+    # run() sends only the gate's conflicts through the six-measure kernel;
+    # that is exact because every other trial's key has at most one side
+    cfg = SimulationConfig(trials=1, distribution=dist, bounds=bounds)
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        draws = _draw_block(rng, _BLOCK, cfg)
+        keys = _direction_masks(*draws)
+        two_sided = ((keys >> 6) != 0) & ((keys & 63) != 0)
+        assert np.array_equal(_gate_conflicts(*draws), two_sided)
+
+
+def test_gate_tie_never_conflicts():
+    # trial 0: RR ties at exactly 2 while RR* points toward Q;
+    # trial 1: identical strata tie on both
+    p1, p2 = np.array([0.2, 0.3]), np.array([0.4, 0.6])
+    p3, p4 = np.array([0.3, 0.3]), np.array([0.6, 0.6])
+    assert p2[0] / p1[0] == p4[0] / p3[0]
+    assert not _gate_conflicts(p1, p2, p3, p4).any()
+
+
 open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 near_ties = st.one_of(
     st.none(), st.tuples(st.sampled_from(ALL_KINDS), st.integers(min_value=-4, max_value=4))
@@ -202,6 +249,10 @@ def test_config_validation():
         SimulationConfig(trials=10, seed=-1)
     with pytest.raises(ConfigError, match="only to the tent distribution"):
         SimulationConfig(trials=10, bounds=(0.2, 0.5))
+    with pytest.raises(ConfigError, match="strictly between"):
+        SimulationConfig(
+            trials=10, distribution=Distribution.TENT_DEPENDENT, bounds=(0.0, 5e-324)
+        )
 
 
 def test_subset_mask_values():
@@ -256,6 +307,27 @@ GOLDEN_COUNTS = {
 def test_seeded_counts_are_stable_across_versions(dist):
     result = run(SimulationConfig(trials=300_000, seed=7, distribution=dist))
     assert result.counts == GOLDEN_COUNTS[dist]
+
+
+def _unscreened_counts(config):
+    # run() without the gate screen: every trial through the full kernel
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    hist = np.zeros(4096, dtype=np.int64)
+    remaining = config.trials
+    while remaining > 0:
+        block = min(_BLOCK, remaining)
+        keys = _direction_masks(*_draw_block(rng, block, config))
+        hist += np.bincount(keys, minlength=4096)
+        remaining -= block
+    return _counts_from_histogram(hist)
+
+
+@pytest.mark.parametrize("dist, bounds", DRAW_MODELS)
+@pytest.mark.parametrize("seed, trials", [(3, _BLOCK + 7), (0, 1), (1, 1)])
+def test_screened_counts_equal_unscreened_counts(dist, bounds, seed, trials):
+    # with one trial, seed 0 draws an RR/RR* conflict and seed 1 does not
+    cfg = SimulationConfig(trials=trials, seed=seed, distribution=dist, bounds=bounds)
+    assert run(cfg).counts == _unscreened_counts(cfg)
 
 
 def test_counts_shrink_as_subsets_grow():
