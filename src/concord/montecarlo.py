@@ -36,12 +36,26 @@ The tent CDF on (L, U) with peak m is
     F(x) = 1 - (U-x)^2 / ((U-m)(U-L))      for x > m
 (the unique piecewise-linear density that is 0 at both bounds and maximal
 at m). One published variant of the second branch fails to reach 1 at
-x = U and is treated here as an erratum.
+x = U and is treated here as an erratum. The quantile multiplies
+u (at least 2^-53) by (m-L)(U-L), where (m-L)/(U-L) is at least about
+2^-53, so SimulationConfig rejects bounds with (U-L)^2 * 2^-106 below the
+smallest normal double (a span below about 1.4e-138): there the product
+underflows and the exposed draws collapse onto a few values.
 
 Reproducibility: all trials come from one generator, seeded with the
 first child that SeedSequence(seed) spawns, and are drawn in blocks of a
 fixed size. The counts are therefore a function of (seed, trials,
 distribution, bounds) alone, bit-identical from run to run.
+
+Memory: run allocates four float buffers of one block once, and
+_draw_block fills them in place with rng.random(out=...) in the order of
+fresh arrays (p1, p2, p3, p4; for tent p1, p3, then p2, p4), so the
+stream is unchanged. The tent quantile, the RR/RR* screen and the kernel
+then work through a block _TILE trials at a time with scratch allocated
+once per call, so temporaries stay in cache and no block allocates
+megabyte temporaries that the allocator hands back to the OS and faults in
+again. Each tile evaluates the same float expressions on the same
+elements, so every value is bit-identical to an untiled evaluation.
 """
 
 from __future__ import annotations
@@ -50,8 +64,9 @@ import csv
 import enum
 import io
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,6 +96,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 18  # trials per vectorized block, bounds peak memory
+_TILE = 1 << 14  # trials per tile: a float temporary is 128 KiB, within L2
 _N_SUBSETS = 64
 _FULL_MASK = 63
 
@@ -111,6 +127,11 @@ class SimulationConfig:
         if math.nextafter(lower, upper) >= upper:
             raise ConfigError(
                 f"no risk lies strictly between the bounds, got {self.bounds}"
+            )
+        if (upper - lower) ** 2 * 2.0**-106 < sys.float_info.min:
+            raise ConfigError(
+                "the tent quantile needs the span squared, times 2**-106, to be"
+                f" a normal float; upper - lower is too small, got {self.bounds}"
             )
         if not isinstance(self.distribution, Distribution):
             raise ConfigError(f"unknown distribution {self.distribution!r}")
@@ -213,23 +234,60 @@ def quadruple_density(
 # --- sampling ----------------------------------------------------------------
 
 
-def _open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform draws on the open interval (0, 1); exact zeros are redrawn."""
-    u = rng.random(n)
-    mask = u == 0.0
-    while mask.any():
-        u[mask] = rng.random(int(mask.sum()))
-        mask = u == 0.0
-    return u
+def _tiles(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most _TILE trials covering range(n)."""
+    for start in range(0, n, _TILE):
+        yield slice(start, min(start + _TILE, n))
+
+
+def _open_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with uniform draws on the open interval (0, 1).
+
+    Exact zeros are redrawn; the mask is built only when one exists.
+    """
+    rng.random(out=out)
+    while not out.all():
+        mask = out == 0.0
+        out[mask] = rng.random(int(mask.sum()))
+    return out
 
 
 def _tent_ppf_array(
-    u: np.ndarray, peak: np.ndarray, lower: float, upper: float
+    u: np.ndarray,
+    peak: np.ndarray,
+    lower: float,
+    upper: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
+    """Tent quantiles of u, one _TILE at a time; out may alias u."""
+    if out is None:
+        out = np.empty_like(u)
     span = upper - lower
-    left = lower + np.sqrt(u * (peak - lower) * span)
-    right = upper - np.sqrt((1.0 - u) * (upper - peak) * span)
-    return np.where(u * span <= peak - lower, left, right)
+    scratch = np.empty((3, min(_TILE, u.size)))
+    is_left = np.empty(scratch.shape[1], dtype=bool)
+    for tile in _tiles(u.size):
+        ut, pt = u[tile], peak[tile]
+        left, right, tmp = scratch[:, : ut.size]
+        cond = is_left[: ut.size]
+        # u * span <= peak - lower
+        np.subtract(pt, lower, out=left)
+        np.multiply(ut, span, out=tmp)
+        np.less_equal(tmp, left, out=cond)
+        # lower + sqrt(u * (peak - lower) * span)
+        np.multiply(ut, left, out=left)
+        np.multiply(left, span, out=left)
+        np.sqrt(left, out=left)
+        np.add(left, lower, out=left)
+        # upper - sqrt((1 - u) * (upper - peak) * span); u is last read here
+        np.subtract(1.0, ut, out=tmp)
+        np.subtract(upper, pt, out=right)
+        np.multiply(tmp, right, out=right)
+        np.multiply(right, span, out=right)
+        np.sqrt(right, out=right)
+        np.subtract(upper, right, out=right)
+        np.copyto(out[tile], right)
+        np.copyto(out[tile], left, where=cond)
+    return out
 
 
 def _redraw_on_bounds(
@@ -240,43 +298,61 @@ def _redraw_on_bounds(
 ) -> np.ndarray:
     """Replace, in place, the values outside the open interval (lower, upper).
 
-    redraw(bad) returns fresh draws for values[bad].
+    redraw(bad) returns fresh draws for values[bad]. The mask is built only
+    when min() or max() shows a bad value.
     """
-    bad = (values <= lower) | (values >= upper)
-    while bad.any():
-        values[bad] = redraw(bad)
+    while values.min() <= lower or values.max() >= upper:
         bad = (values <= lower) | (values >= upper)
+        values[bad] = redraw(bad)
     return values
 
 
 def _draw_block(
-    rng: np.random.Generator, n: int, config: SimulationConfig
+    rng: np.random.Generator,
+    n: int,
+    config: SimulationConfig,
+    out: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw n trials' (p1, p2, p3, p4) into the leading n entries of out.
+
+    out holds four float arrays of at least n entries; without it, fresh
+    arrays are allocated. The draws do not depend on out.
+    """
+    if out is None:
+        out = np.empty((4, n))
+    p1, p2, p3, p4 = (buffer[:n] for buffer in out)
     dist = config.distribution
-    if dist is Distribution.UNIFORM_UNIT:
-        return tuple(_open_uniform(rng, n) for _ in range(4))  # type: ignore[return-value]
-    if dist is Distribution.UNIFORM_RARE:
-        return tuple(0.1 * _open_uniform(rng, n) for _ in range(4))  # type: ignore[return-value]
+    if dist is not Distribution.TENT_DEPENDENT:
+        for risk in (p1, p2, p3, p4):
+            _open_uniform(rng, risk)
+            if dist is Distribution.UNIFORM_RARE:
+                np.multiply(risk, 0.1, out=risk)
+        return p1, p2, p3, p4
     lower, upper = config.bounds
     span = upper - lower
 
-    def control(size: int) -> np.ndarray:
-        return lower + span * _open_uniform(rng, size)
+    def control(risk: np.ndarray) -> np.ndarray:
+        # lower + span * u
+        np.multiply(_open_uniform(rng, risk), span, out=risk)
+        return np.add(risk, lower, out=risk)
 
-    def exposed(peak: np.ndarray) -> np.ndarray:
-        return _tent_ppf_array(_open_uniform(rng, peak.size), peak, lower, upper)
+    def exposed(peak: np.ndarray, risk: np.ndarray) -> np.ndarray:
+        return _tent_ppf_array(_open_uniform(rng, risk), peak, lower, upper, out=risk)
 
     # Floating rounding can park a draw exactly on a bound. A control risk
     # on L or U is no tent peak (the exposed redraw below could then spin
     # forever), and an exposed risk on 0 or 1 loses the measures' limits,
     # so such draws are redrawn.
-    p1, p3 = (
-        _redraw_on_bounds(control(n), lambda bad: control(int(bad.sum())), lower, upper)
-        for _ in range(2)
-    )
-    p2, p4 = exposed(p1), exposed(p3)
+    for risk in (p1, p3):
+        _redraw_on_bounds(
+            control(risk), lambda bad: control(np.empty(int(bad.sum()))), lower, upper
+        )
+    exposed(p1, p2)
+    exposed(p3, p4)
     for risk, peak in ((p2, p1), (p4, p3)):
-        _redraw_on_bounds(risk, lambda bad: exposed(peak[bad]), 0.0, 1.0)
+        _redraw_on_bounds(
+            risk, lambda bad: exposed(peak[bad], np.empty(int(bad.sum()))), 0.0, 1.0
+        )
     return p1, p2, p3, p4
 
 
@@ -305,32 +381,66 @@ def _counts_from_histogram(hist: np.ndarray) -> tuple[int, ...]:
 
 
 def _gate_conflicts(
-    p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray
+    p1: np.ndarray,
+    p2: np.ndarray,
+    p3: np.ndarray,
+    p4: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Trials whose RR and RR* point in opposite directions, strictly.
 
     RR and RR* are the float expressions of measures._strict_measures and
     the comparisons are those of _direction_masks, so a tie in either
-    measure never conflicts.
+    measure never conflicts. The bool mask is written to out (allocated
+    when None) one _TILE at a time.
     """
-    rr_p, rr_q = p2 / p1, p4 / p3
-    star_p, star_q = (1.0 - p1) / (1.0 - p2), (1.0 - p3) / (1.0 - p4)
-    return ((rr_q < rr_p) & (star_q > star_p)) | ((rr_q > rr_p) & (star_q < star_p))
+    if out is None:
+        out = np.empty(p1.size, dtype=bool)
+    scratch = np.empty((3, min(_TILE, p1.size)))
+    flags = np.empty(scratch.shape, dtype=bool)
+    for tile in _tiles(p1.size):
+        m = tile.stop - tile.start
+        vp, vq, tmp = scratch[:, :m]
+        lt, gt, s_lt = flags[:, :m]
+        conflict = out[tile]
+        # rr_p = p2 / p1, rr_q = p4 / p3
+        np.divide(p2[tile], p1[tile], out=vp)
+        np.divide(p4[tile], p3[tile], out=vq)
+        np.less(vq, vp, out=lt)
+        np.greater(vq, vp, out=gt)
+        # star_p = (1 - p1) / (1 - p2), star_q = (1 - p3) / (1 - p4)
+        np.subtract(1.0, p1[tile], out=vp)
+        np.subtract(1.0, p2[tile], out=tmp)
+        np.divide(vp, tmp, out=vp)
+        np.subtract(1.0, p3[tile], out=vq)
+        np.subtract(1.0, p4[tile], out=tmp)
+        np.divide(vq, tmp, out=vq)
+        # (rr_q < rr_p) & (star_q > star_p) | (rr_q > rr_p) & (star_q < star_p)
+        np.less(vq, vp, out=s_lt)
+        np.logical_and(gt, s_lt, out=gt)
+        np.greater(vq, vp, out=conflict)
+        np.logical_and(lt, conflict, out=conflict)
+        np.logical_or(conflict, gt, out=conflict)
+    return out
 
 
 def run(config: SimulationConfig) -> SimulationResult:
     """Run the simulation; deterministic for a fixed seed."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     hist = np.zeros(4096, dtype=np.int64)
+    width = min(_BLOCK, config.trials)
+    buffers = np.empty((4, width))
+    gate = np.empty(width, dtype=bool)
     remaining = config.trials
     while remaining > 0:
         block = min(_BLOCK, remaining)
-        draws = _draw_block(rng, block, config)
-        conflicts = np.flatnonzero(_gate_conflicts(*draws))
-        keys = _direction_masks(*(p[conflicts] for p in draws))
-        hist += np.bincount(keys, minlength=4096)
+        draws = _draw_block(rng, block, config, out=buffers)
+        conflicts = np.flatnonzero(_gate_conflicts(*draws, out=gate[:block]))
+        for tile in _tiles(conflicts.size):
+            keys = _direction_masks(*(p[conflicts[tile]] for p in draws))
+            hist += np.bincount(keys, minlength=4096)
         # every other trial agrees on all 64 subsets, as key 0 does
-        hist[0] += block - keys.size
+        hist[0] += block - conflicts.size
         remaining -= block
     return SimulationResult(
         config=config, trials=config.trials, counts=_counts_from_histogram(hist)

@@ -271,6 +271,7 @@ def test_simulate_tent_with_bounds(capsys):
         ("simulate", "--trials", "100", "--seed", "-1"),
         ("simulate", "--trials", "100", "--dist", "uniform", "--bounds", "0.2,0.5"),
         ("simulate", "--trials", "100", "--dist", "tent", "--bounds", "0,5e-324"),
+        ("simulate", "--trials", "100", "--dist", "tent", "--bounds", "0,1e-200"),
     ],
 )
 def test_simulate_bad_flags_exit_1(capsys, argv):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from concord.errors import ConfigError, DomainError
 from concord.measures import ALL_KINDS, MeasureKind, RiskPair, measure_vector
 from concord.montecarlo import (
     _BLOCK,
+    _TILE,
     Distribution,
     SimulationConfig,
     SimulationResult,
@@ -122,11 +124,29 @@ def test_tent_draws_match_cdf():
     n = 200_000
     rng = np.random.default_rng(11)
     peak = 0.3
-    x = np.sort(_tent_ppf_array(_open_uniform(rng, n), np.full(n, peak), 0.0, 1.0))
+    u = _open_uniform(rng, np.empty(n))
+    x = np.sort(_tent_ppf_array(u, np.full(n, peak), 0.0, 1.0))
     left = x <= peak
     cdf = np.where(left, x**2 / peak, 1.0 - (1.0 - x) ** 2 / (1.0 - peak))
     grid = np.arange(1, n + 1) / n
     ks = np.max(np.abs(cdf - grid))
+    assert ks < 0.005  # 0.1% critical value is about 0.0044 at this n
+
+
+def test_tent_draws_match_cdf_at_the_smallest_spans():
+    # near the span rule's limit every exposed risk, put through its own
+    # stratum's tent CDF, must still be uniform (KS on 2 * 100000 draws)
+    lower, upper = 0.0, 1e-130
+    cfg = SimulationConfig(
+        trials=1, distribution=Distribution.TENT_DEPENDENT, bounds=(lower, upper)
+    )
+    p1, p2, p3, p4 = _draw_block(np.random.default_rng(13), 100_000, cfg)
+    span = upper - lower
+    x = (np.concatenate([p2, p4]) - lower) / span
+    peak = (np.concatenate([p1, p3]) - lower) / span
+    cdf = np.sort(np.where(x <= peak, x**2 / peak, 1.0 - (1.0 - x) ** 2 / (1.0 - peak)))
+    n = cdf.size
+    ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
     assert ks < 0.005  # 0.1% critical value is about 0.0044 at this n
 
 
@@ -200,6 +220,78 @@ def test_gate_tie_never_conflicts():
     assert not _gate_conflicts(p1, p2, p3, p4).any()
 
 
+# Sizes around the tile edges: one trial, a tile less one, one tile, one
+# tile and one, and a ragged run of tiles.
+TILED_SIZES = [1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5]
+
+
+def _untiled_gate(p1, p2, p3, p4):
+    rr_p, rr_q = p2 / p1, p4 / p3
+    star_p, star_q = (1.0 - p1) / (1.0 - p2), (1.0 - p3) / (1.0 - p4)
+    return ((rr_q < rr_p) & (star_q > star_p)) | ((rr_q > rr_p) & (star_q < star_p))
+
+
+def _untiled_tent_ppf(u, peak, lower, upper):
+    span = upper - lower
+    left = lower + np.sqrt(u * (peak - lower) * span)
+    right = upper - np.sqrt((1.0 - u) * (upper - peak) * span)
+    return np.where(u * span <= peak - lower, left, right)
+
+
+@pytest.mark.parametrize("n", TILED_SIZES)
+def test_tiled_gate_matches_untiled_reference(n):
+    rng = np.random.default_rng(n)
+    p1, p2, p3, p4 = rng.random((4, n))
+    # some trials tie on both measures, some on RR alone
+    p3[::5], p4[::5] = p1[::5], p2[::5]
+    p3[1::5], p4[1::5] = 0.5 * p1[1::5], 0.5 * p2[1::5]
+    expected = _untiled_gate(p1, p2, p3, p4)
+    assert np.array_equal(_gate_conflicts(p1, p2, p3, p4), expected)
+    out = np.ones(n, dtype=bool)
+    assert _gate_conflicts(p1, p2, p3, p4, out=out) is out
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("n", TILED_SIZES)
+@pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (0.2, 0.8)])
+def test_tiled_tent_quantile_matches_untiled_reference(n, lower, upper):
+    rng = np.random.default_rng(n)
+    span = upper - lower
+    peak = lower + span * rng.random(n)
+    u = rng.random(n)
+    u[::7] = (peak[::7] - lower) / span  # on the branch threshold
+    expected = _untiled_tent_ppf(u, peak, lower, upper)
+    assert np.array_equal(_tent_ppf_array(u, peak, lower, upper), expected)
+    assert _tent_ppf_array(u, peak, lower, upper, out=u) is u
+    assert np.array_equal(u, expected)
+
+
+@pytest.mark.parametrize("dist, bounds", DRAW_MODELS)
+def test_draw_block_into_reused_buffers_matches_fresh_arrays(dist, bounds):
+    cfg = SimulationConfig(trials=1, distribution=dist, bounds=bounds)
+    fresh_rng, reused_rng = np.random.default_rng(6), np.random.default_rng(6)
+    buffers = np.full((4, _BLOCK + 3), np.nan)
+    for n in (_BLOCK, _TILE + 1):  # a full block, then a partial one
+        fresh = _draw_block(fresh_rng, n, cfg)
+        reused = _draw_block(reused_rng, n, cfg, out=buffers)
+        for a, b, buffer in zip(fresh, reused, buffers):
+            assert np.array_equal(a, b)
+            assert np.shares_memory(b, buffer)
+    assert fresh_rng.random() == reused_rng.random()
+
+
+@pytest.mark.parametrize(
+    "dist, scale", [(Distribution.UNIFORM_UNIT, 1.0), (Distribution.UNIFORM_RARE, 0.1)]
+)
+def test_uniform_draws_are_scaled_generator_output_in_order(dist, scale):
+    # p1, p2, p3, p4 each take the next n draws (no exact zero at this seed)
+    n = _TILE + 1
+    reference = np.random.default_rng(2).random((4, n))
+    cfg = SimulationConfig(trials=1, distribution=dist)
+    draws = _draw_block(np.random.default_rng(2), n, cfg)
+    assert np.array_equal(np.stack(draws), scale * reference)
+
+
 open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 near_ties = st.one_of(
     st.none(), st.tuples(st.sampled_from(ALL_KINDS), st.integers(min_value=-4, max_value=4))
@@ -253,6 +345,13 @@ def test_config_validation():
         SimulationConfig(
             trials=10, distribution=Distribution.TENT_DEPENDENT, bounds=(0.0, 5e-324)
         )
+    with pytest.raises(ConfigError, match="span squared"):
+        SimulationConfig(
+            trials=10, distribution=Distribution.TENT_DEPENDENT, bounds=(0.0, 1e-140)
+        )
+    SimulationConfig(
+        trials=10, distribution=Distribution.TENT_DEPENDENT, bounds=(0.0, 1e-130)
+    )
 
 
 def test_subset_mask_values():
@@ -328,6 +427,21 @@ def test_screened_counts_equal_unscreened_counts(dist, bounds, seed, trials):
     # with one trial, seed 0 draws an RR/RR* conflict and seed 1 does not
     cfg = SimulationConfig(trials=trials, seed=seed, distribution=dist, bounds=bounds)
     assert run(cfg).counts == _unscreened_counts(cfg)
+
+
+@pytest.mark.parametrize("dist", list(Distribution))
+def test_run_allocates_no_block_sized_temporaries(dist):
+    # run() keeps four per-run block buffers (8 MiB) and works in _TILE-trial
+    # tiles; each block-sized temporary would add 2 MiB to the peak
+    cfg = SimulationConfig(trials=1_000_000, distribution=dist)
+    run(cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_counts_shrink_as_subsets_grow():
