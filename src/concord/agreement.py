@@ -39,6 +39,7 @@ from .measures import (
     MeasureKind,
     RiskPair,
     _measures,
+    _relative_risks,
     subset_agrees,
     subset_mask,
 )
@@ -345,28 +346,32 @@ def _qualitative(p1: float, p2: float, p3: float, p4: float) -> bool:
     return (p1 < p2 and p3 >= p4) or (p3 < p4 and p1 >= p2)
 
 
+# The inequalities on the risks are tested first: they are cheaper than the
+# relative risks and fail on most strata.
+
+
 def _rr_hr_star(p1: float, p2: float, p3: float, p4: float) -> bool:
     # RR_P < RR_Q with p4 above both p2 and p3 forces HR* toward Q too.
-    return p2 / p1 < p4 / p3 and p4 > p2 and p4 > p3
+    return (
+        p4 > p2 and p4 > p3 and _relative_risks(p1, p2)[0] < _relative_risks(p3, p4)[0]
+    )
 
 
 def _rr_star_hr_star(p1: float, p2: float, p3: float, p4: float) -> bool:
     # p4 < p2 with 1 < RR*_P < RR*_Q forces HR* toward Q too.
-    rr_star_p = (1.0 - p1) / (1.0 - p2)
-    rr_star_q = (1.0 - p3) / (1.0 - p4)
-    return p4 < p2 and 1.0 < rr_star_p < rr_star_q
+    return p4 < p2 and 1.0 < _relative_risks(p1, p2)[1] < _relative_risks(p3, p4)[1]
 
 
 def _rr_star_rd(p1: float, p2: float, p3: float, p4: float) -> bool:
     # RR*_P < RR*_Q with p3 <= p1 <= p2 forces RD toward Q too.
-    rr_star_p = (1.0 - p1) / (1.0 - p2)
-    rr_star_q = (1.0 - p3) / (1.0 - p4)
-    return rr_star_p < rr_star_q and p3 <= p1 <= p2
+    return p3 <= p1 <= p2 and _relative_risks(p1, p2)[1] < _relative_risks(p3, p4)[1]
 
 
 def _rr_rd(p1: float, p2: float, p3: float, p4: float) -> bool:
     # RR_P < RR_Q with p3 >= p1 and p2 >= p1 forces RD toward Q too.
-    return p2 / p1 < p4 / p3 and p3 >= p1 and p2 >= p1
+    return (
+        p3 >= p1 and p2 >= p1 and _relative_risks(p1, p2)[0] < _relative_risks(p3, p4)[0]
+    )
 
 
 _CONDITIONS: tuple[tuple[str, object, frozenset[MeasureKind]], ...] = (

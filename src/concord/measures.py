@@ -157,6 +157,15 @@ def _check_boundary(pair: RiskPair) -> None:
         )
 
 
+def _relative_risks(a, b) -> tuple:
+    """(RR, RR*) for risks strictly inside (0, 1), as floats or arrays.
+
+    The one copy of the two formulas: the six-measure table, the simulator's
+    RR/RR* screen and the sufficient conditions all evaluate it.
+    """
+    return b / a, (1.0 - a) / (1.0 - b)
+
+
 def _strict_measures(a, b, log=math.log, log1p=math.log1p) -> tuple:
     """The six measures in ALL_KINDS order, for risks strictly inside (0, 1).
 
@@ -164,8 +173,7 @@ def _strict_measures(a, b, log=math.log, log1p=math.log1p) -> tuple:
     This is the one copy of the formulas: the scalar path and the simulator
     both evaluate it.
     """
-    rr = b / a
-    rr_star = (1.0 - a) / (1.0 - b)
+    rr, rr_star = _relative_risks(a, b)
     # OR is factored as RR * RR*: the single fraction b(1-a) / (a(1-b)) can
     # underflow a subnormal denominator to exact zero
     return (rr, rr_star, log1p(-b) / log1p(-a), log(a) / log(b), b - a, rr * rr_star)
@@ -313,7 +321,7 @@ def grrr(pair: RiskPair) -> float:
     """
     a, b = _require_strict(pair)
     if b < a:
-        return b / a - 1.0
+        return _relative_risks(a, b)[0] - 1.0
     return (b - a) / (1.0 - a)  # 1 - 1/RR* simplified
 
 

@@ -17,10 +17,11 @@ six-measure kernel, _direction_masks; under uniform risks that is about
 one in six. By the paper's gate theorem, a trial where RR and RR* do not
 conflict has no measure pointing toward P and another toward Q, so every
 one of the 64 subsets agrees on it, exactly as on the all-tie key 0, and
-run counts it there. The screen uses the kernel's own float expressions
-and strict comparisons; test_gate_flags_exactly_the_two_sided_keys checks
-on drawn blocks that it flags exactly the trials whose full-kernel key
-has bits on both sides.
+run counts it there. The screen and the kernel read RR and RR* from the
+one formula, measures._relative_risks, and compare strictly, so the
+screen sees the kernel's values; test_gate_flags_exactly_the_two_sided_keys
+checks on drawn blocks that it flags exactly the trials whose full-kernel
+key has bits on both sides.
 
 Risk distributions:
 
@@ -51,11 +52,9 @@ Memory: run allocates four float buffers of one block once, and
 _draw_block fills them in place with rng.random(out=...) in the order of
 fresh arrays (p1, p2, p3, p4; for tent p1, p3, then p2, p4), so the
 stream is unchanged. The tent quantile, the RR/RR* screen and the kernel
-then work through a block _TILE trials at a time with scratch allocated
-once per call, so temporaries stay in cache and no block allocates
-megabyte temporaries that the allocator hands back to the OS and faults in
-again. Each tile evaluates the same float expressions on the same
-elements, so every value is bit-identical to an untiled evaluation.
+are elementwise expressions evaluated _TILE trials at a time (_tiled, and
+the kernel loop in run), so their temporaries are 128 KiB and stay in
+cache, and every value is bit-identical to an untiled evaluation.
 """
 
 from __future__ import annotations
@@ -64,8 +63,10 @@ import csv
 import enum
 import io
 import math
+import numbers
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -73,6 +74,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .measures import (
     MeasureKind,
+    _relative_risks,
     _strict_measures,
     mask_members,
     subset_agrees,
@@ -115,6 +117,10 @@ class SimulationConfig:
     bounds: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -164,7 +170,11 @@ class SimulationResult:
 # --- tent distribution -------------------------------------------------------
 
 
-def _check_tent_args(peak: float, bounds: tuple[float, float]) -> tuple[float, float]:
+def _check_tent_args(
+    x: float, peak: float, bounds: tuple[float, float]
+) -> tuple[float, float]:
+    if math.isnan(x):
+        raise DomainError(f"tent argument must be a number, got {x}")
     lower, upper = bounds
     if not lower < upper:
         raise DomainError(f"bounds must satisfy lower < upper, got {bounds}")
@@ -179,18 +189,22 @@ def tent_inverse_cdf(
     u: float, peak: float, bounds: tuple[float, float] = (0.0, 1.0)
 ) -> float:
     """Quantile function of the tent density on bounds peaking at `peak`."""
-    lower, upper = _check_tent_args(peak, bounds)
+    lower, upper = _check_tent_args(u, peak, bounds)
     if not 0.0 <= u <= 1.0:
         raise DomainError(f"u must lie in [0, 1], got {u}")
+    return float(_tent_quantile(u, peak, lower, upper))
+
+
+def _tent_quantile(u, peak, lower: float, upper: float):
+    """Tent quantile of u, elementwise for floats or arrays; no checks."""
     span = upper - lower
-    threshold = (peak - lower) / span
-    if u <= threshold:
-        return lower + math.sqrt(u * (peak - lower) * span)
-    return upper - math.sqrt((1.0 - u) * (upper - peak) * span)
+    left = lower + np.sqrt(u * (peak - lower) * span)
+    right = upper - np.sqrt((1.0 - u) * (upper - peak) * span)
+    return np.where(u * span <= peak - lower, left, right)
 
 
 def tent_cdf(x: float, peak: float, bounds: tuple[float, float] = (0.0, 1.0)) -> float:
-    lower, upper = _check_tent_args(peak, bounds)
+    lower, upper = _check_tent_args(x, peak, bounds)
     if x <= lower:
         return 0.0
     if x >= upper:
@@ -202,7 +216,7 @@ def tent_cdf(x: float, peak: float, bounds: tuple[float, float] = (0.0, 1.0)) ->
 
 
 def tent_pdf(x: float, peak: float, bounds: tuple[float, float] = (0.0, 1.0)) -> float:
-    lower, upper = _check_tent_args(peak, bounds)
+    lower, upper = _check_tent_args(x, peak, bounds)
     if x < lower or x > upper:
         return 0.0
     span = upper - lower
@@ -220,6 +234,8 @@ def quadruple_density(
 ) -> float:
     """Joint density of one trial's four risks under TENT_DEPENDENT."""
     lower, upper = bounds
+    if any(math.isnan(p) for p in (p1, p2, p3, p4)) or not lower < upper:
+        raise DomainError(f"invalid risks {(p1, p2, p3, p4)} or bounds {bounds}")
     if not (lower < p1 < upper and lower < p3 < upper):
         return 0.0
     uniform_density = 1.0 / (upper - lower)
@@ -252,41 +268,13 @@ def _open_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tent_ppf_array(
-    u: np.ndarray,
-    peak: np.ndarray,
-    lower: float,
-    upper: float,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Tent quantiles of u, one _TILE at a time; out may alias u."""
-    if out is None:
-        out = np.empty_like(u)
-    span = upper - lower
-    scratch = np.empty((3, min(_TILE, u.size)))
-    is_left = np.empty(scratch.shape[1], dtype=bool)
-    for tile in _tiles(u.size):
-        ut, pt = u[tile], peak[tile]
-        left, right, tmp = scratch[:, : ut.size]
-        cond = is_left[: ut.size]
-        # u * span <= peak - lower
-        np.subtract(pt, lower, out=left)
-        np.multiply(ut, span, out=tmp)
-        np.less_equal(tmp, left, out=cond)
-        # lower + sqrt(u * (peak - lower) * span)
-        np.multiply(ut, left, out=left)
-        np.multiply(left, span, out=left)
-        np.sqrt(left, out=left)
-        np.add(left, lower, out=left)
-        # upper - sqrt((1 - u) * (upper - peak) * span); u is last read here
-        np.subtract(1.0, ut, out=tmp)
-        np.subtract(upper, pt, out=right)
-        np.multiply(tmp, right, out=right)
-        np.multiply(right, span, out=right)
-        np.sqrt(right, out=right)
-        np.subtract(upper, right, out=right)
-        np.copyto(out[tile], right)
-        np.copyto(out[tile], left, where=cond)
+def _tiled(formula: Callable, out: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+    """Write formula(*arrays) into out one _TILE at a time; out may alias an input.
+
+    formula is elementwise, so each value equals that of an untiled call.
+    """
+    for tile in _tiles(out.size):
+        out[tile] = formula(*(array[tile] for array in arrays))
     return out
 
 
@@ -330,6 +318,7 @@ def _draw_block(
         return p1, p2, p3, p4
     lower, upper = config.bounds
     span = upper - lower
+    quantile = partial(_tent_quantile, lower=lower, upper=upper)
 
     def control(risk: np.ndarray) -> np.ndarray:
         # lower + span * u
@@ -337,7 +326,7 @@ def _draw_block(
         return np.add(risk, lower, out=risk)
 
     def exposed(peak: np.ndarray, risk: np.ndarray) -> np.ndarray:
-        return _tent_ppf_array(_open_uniform(rng, risk), peak, lower, upper, out=risk)
+        return _tiled(quantile, risk, _open_uniform(rng, risk), peak)
 
     # Floating rounding can park a draw exactly on a bound. A control risk
     # on L or U is no tent peak (the exposed redraw below could then spin
@@ -380,48 +369,16 @@ def _counts_from_histogram(hist: np.ndarray) -> tuple[int, ...]:
     )
 
 
-def _gate_conflicts(
-    p1: np.ndarray,
-    p2: np.ndarray,
-    p3: np.ndarray,
-    p4: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def _gate_conflicts(p1, p2, p3, p4):
     """Trials whose RR and RR* point in opposite directions, strictly.
 
-    RR and RR* are the float expressions of measures._strict_measures and
-    the comparisons are those of _direction_masks, so a tie in either
-    measure never conflicts. The bool mask is written to out (allocated
-    when None) one _TILE at a time.
+    RR and RR* come from measures._relative_risks, which _strict_measures
+    also reads, and the comparisons are those of _direction_masks, so a tie
+    in either measure never conflicts. Elementwise on arrays.
     """
-    if out is None:
-        out = np.empty(p1.size, dtype=bool)
-    scratch = np.empty((3, min(_TILE, p1.size)))
-    flags = np.empty(scratch.shape, dtype=bool)
-    for tile in _tiles(p1.size):
-        m = tile.stop - tile.start
-        vp, vq, tmp = scratch[:, :m]
-        lt, gt, s_lt = flags[:, :m]
-        conflict = out[tile]
-        # rr_p = p2 / p1, rr_q = p4 / p3
-        np.divide(p2[tile], p1[tile], out=vp)
-        np.divide(p4[tile], p3[tile], out=vq)
-        np.less(vq, vp, out=lt)
-        np.greater(vq, vp, out=gt)
-        # star_p = (1 - p1) / (1 - p2), star_q = (1 - p3) / (1 - p4)
-        np.subtract(1.0, p1[tile], out=vp)
-        np.subtract(1.0, p2[tile], out=tmp)
-        np.divide(vp, tmp, out=vp)
-        np.subtract(1.0, p3[tile], out=vq)
-        np.subtract(1.0, p4[tile], out=tmp)
-        np.divide(vq, tmp, out=vq)
-        # (rr_q < rr_p) & (star_q > star_p) | (rr_q > rr_p) & (star_q < star_p)
-        np.less(vq, vp, out=s_lt)
-        np.logical_and(gt, s_lt, out=gt)
-        np.greater(vq, vp, out=conflict)
-        np.logical_and(lt, conflict, out=conflict)
-        np.logical_or(conflict, gt, out=conflict)
-    return out
+    rr_p, star_p = _relative_risks(p1, p2)
+    rr_q, star_q = _relative_risks(p3, p4)
+    return ((rr_q < rr_p) & (star_q > star_p)) | ((rr_q > rr_p) & (star_q < star_p))
 
 
 def run(config: SimulationConfig) -> SimulationResult:
@@ -435,7 +392,7 @@ def run(config: SimulationConfig) -> SimulationResult:
     while remaining > 0:
         block = min(_BLOCK, remaining)
         draws = _draw_block(rng, block, config, out=buffers)
-        conflicts = np.flatnonzero(_gate_conflicts(*draws, out=gate[:block]))
+        conflicts = np.flatnonzero(_tiled(_gate_conflicts, gate[:block], *draws))
         for tile in _tiles(conflicts.size):
             keys = _direction_masks(*(p[conflicts[tile]] for p in draws))
             hist += np.bincount(keys, minlength=4096)

@@ -3,10 +3,11 @@
 import json
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from concord.agreement import Direction, StratifiedRisks, agree, critical_p4
 from concord.errors import ConfigError, DomainError
@@ -22,7 +23,8 @@ from concord.montecarlo import (
     _draw_block,
     _gate_conflicts,
     _open_uniform,
-    _tent_ppf_array,
+    _tent_quantile,
+    _tiled,
     quadruple_density,
     run,
     subset_mask,
@@ -77,6 +79,26 @@ def test_tent_round_trip_custom_bounds(u, peak):
     assert tent_cdf(x, peak, bounds) == pytest.approx(u, abs=1e-9)
 
 
+@settings(max_examples=300)
+@given(
+    st.sampled_from([(0.0, 1.0), (0.2, 0.8)]),
+    st.floats(min_value=0.01, max_value=0.99),
+    st.one_of(unit, st.integers(min_value=-2, max_value=2)),
+)
+# at this threshold u, u <= (peak - L) / span holds and u * span <= peak - L does not
+@example((0.2, 0.8), 0.03873938237130803, 0)
+def test_scalar_tent_quantile_is_the_array_quantile(bounds, t, u):
+    # an integer u means: u on the branch threshold, moved by that many ulp
+    lower, upper = bounds
+    peak = lower + t * (upper - lower)
+    assume(lower < peak < upper)
+    if isinstance(u, int):
+        threshold = (peak - lower) / (upper - lower)
+        u = min(1.0, max(0.0, threshold + u * math.ulp(threshold)))
+    array = _tent_quantile(np.array([u]), np.array([peak]), lower, upper)
+    assert tent_inverse_cdf(u, peak, bounds) == array[0]
+
+
 def test_tent_pdf_shape():
     # peak height is 2/span regardless of where the peak sits
     assert tent_pdf(0.3, 0.3) == pytest.approx(2.0)
@@ -102,6 +124,10 @@ def test_tent_pdf_integrates_to_one():
         lambda: tent_inverse_cdf(1.5, 0.3),  # u out of range
         lambda: tent_inverse_cdf(-0.1, 0.3),
         lambda: tent_pdf(0.5, 0.5, (0.8, 0.2)),  # reversed bounds
+        lambda: tent_cdf(math.nan, 0.3),  # NaN arguments
+        lambda: tent_pdf(math.nan, 0.3),
+        lambda: quadruple_density(0.5, math.nan, 0.5, 0.5),
+        lambda: quadruple_density(0.5, 0.5, 0.5, 0.5, (0.8, 0.2)),
     ],
 )
 def test_tent_argument_errors(call):
@@ -125,7 +151,7 @@ def test_tent_draws_match_cdf():
     rng = np.random.default_rng(11)
     peak = 0.3
     u = _open_uniform(rng, np.empty(n))
-    x = np.sort(_tent_ppf_array(u, np.full(n, peak), 0.0, 1.0))
+    x = np.sort(_tent_quantile(u, np.full(n, peak), 0.0, 1.0))
     left = x <= peak
     cdf = np.where(left, x**2 / peak, 1.0 - (1.0 - x) ** 2 / (1.0 - peak))
     grid = np.arange(1, n + 1) / n
@@ -248,7 +274,7 @@ def test_tiled_gate_matches_untiled_reference(n):
     expected = _untiled_gate(p1, p2, p3, p4)
     assert np.array_equal(_gate_conflicts(p1, p2, p3, p4), expected)
     out = np.ones(n, dtype=bool)
-    assert _gate_conflicts(p1, p2, p3, p4, out=out) is out
+    assert _tiled(_gate_conflicts, out, p1, p2, p3, p4) is out
     assert np.array_equal(out, expected)
 
 
@@ -261,8 +287,9 @@ def test_tiled_tent_quantile_matches_untiled_reference(n, lower, upper):
     u = rng.random(n)
     u[::7] = (peak[::7] - lower) / span  # on the branch threshold
     expected = _untiled_tent_ppf(u, peak, lower, upper)
-    assert np.array_equal(_tent_ppf_array(u, peak, lower, upper), expected)
-    assert _tent_ppf_array(u, peak, lower, upper, out=u) is u
+    quantile = partial(_tent_quantile, lower=lower, upper=upper)
+    assert np.array_equal(_tiled(quantile, np.empty(n), u, peak), expected)
+    assert _tiled(quantile, u, u, peak) is u
     assert np.array_equal(u, expected)
 
 
@@ -339,6 +366,12 @@ def test_config_validation():
         SimulationConfig(trials=10, distribution="uniform")
     with pytest.raises(ConfigError):
         SimulationConfig(trials=10, seed=-1)
+    with pytest.raises(ConfigError, match="integer"):
+        SimulationConfig(trials=2.5)
+    with pytest.raises(ConfigError, match="integer"):
+        SimulationConfig(seed=0.5)
+    with pytest.raises(ConfigError, match="integer"):
+        SimulationConfig(trials=True)
     with pytest.raises(ConfigError, match="only to the tent distribution"):
         SimulationConfig(trials=10, bounds=(0.2, 0.5))
     with pytest.raises(ConfigError, match="strictly between"):
