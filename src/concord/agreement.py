@@ -148,22 +148,21 @@ def modification_direction(strata: StratifiedRisks, kind: MeasureKind) -> Direct
 class AgreementReport:
     """Full agreement analysis of one pair of strata.
 
-    directions maps every kind to its Direction; pair_matrix is the
-    symmetric 6x6 agreement table in ALL_KINDS order; subset_verdicts is
-    indexed by bitmask (bit i = ALL_KINDS[i]); agrees is the verdict for
-    all six measures, and subset_agrees gives the verdict for any subset.
+    directions maps every kind to its Direction; subset_verdicts holds
+    each verdict once, indexed by bitmask (bit i = ALL_KINDS[i]); agrees is
+    the verdict for all six measures, and pair_agrees and subset_agrees
+    read the verdict for any pair or subset.
     """
 
     strata: StratifiedRisks
     directions: Mapping[MeasureKind, Direction]
-    pair_matrix: tuple[tuple[bool, ...], ...]
     subset_verdicts: tuple[bool, ...]
     agrees: bool
     rr_gate_fired: bool
     fired_conditions: tuple["FiredCondition", ...]
 
     def pair_agrees(self, kind_a: MeasureKind, kind_b: MeasureKind) -> bool:
-        return self.pair_matrix[kind_a.bit][kind_b.bit]
+        return self.subset_verdicts[(1 << kind_a.bit) | (1 << kind_b.bit)]
 
     def subset_agrees(self, kinds: Iterable[MeasureKind]) -> bool:
         return self.subset_verdicts[subset_mask(kinds)]
@@ -179,13 +178,10 @@ def agree(strata: StratifiedRisks) -> AgreementReport:
     toward_p = subset_mask(k for k, d in directions.items() if d is Direction.TOWARD_P)
     toward_q = subset_mask(k for k, d in directions.items() if d is Direction.TOWARD_Q)
     verdicts = tuple(subset_agrees(toward_p, toward_q, mask) for mask in range(64))
-    singletons = [1 << kind.bit for kind in ALL_KINDS]
-    matrix = tuple(tuple(verdicts[a | b] for b in singletons) for a in singletons)
     fired = sufficient_conditions(strata) if strata.is_strict else ()
     return AgreementReport(
         strata=strata,
         directions=directions,
-        pair_matrix=matrix,
         subset_verdicts=verdicts,
         agrees=verdicts[_ALL_SIX_MASK],
         rr_gate_fired=verdicts[_RR_GATE_MASK],

@@ -321,7 +321,7 @@ def _resolve_strata(args: argparse.Namespace) -> tuple[StratifiedRisks, dict]:
             strata = loaded
         source: dict = {"in": args.infile}
     elif len(given) == 4:
-        strata = StratifiedRisks(RiskPair(inline[0], inline[1]), RiskPair(inline[2], inline[3]))
+        strata = StratifiedRisks.from_probs(*inline)
         source = {}
     else:
         raise InputValidationError("need --p1 --p2 --p3 --p4, or --in FILE")

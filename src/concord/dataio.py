@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import ConfigError, InputValidationError, ParseError
-from .measures import RiskPair
 from .agreement import StratifiedRisks
 from .inference import CellCount, CountTable
 
@@ -119,10 +118,7 @@ def _parse_csv(text: str) -> Union[StratifiedRisks, CountTable]:
             values.append(_float_cell(row[2], line_no, 3, "risk"))
     if is_counts:
         return CountTable.from_ints(values)  # type: ignore[arg-type]
-    risks = values
-    return StratifiedRisks(
-        RiskPair(risks[0], risks[1]), RiskPair(risks[2], risks[3])  # type: ignore[arg-type]
-    )
+    return StratifiedRisks.from_probs(*values)  # type: ignore[arg-type]
 
 
 def _float_cell(cell: str, line_no: int, column: int, name: str) -> float:
@@ -157,9 +153,7 @@ def _parse_json(text: str) -> Union[StratifiedRisks, CountTable]:
     if has_strata:
         cells = _json_cells(payload["strata"], "strata")
         risks = [_json_number(value, where) for value, where in cells]
-        return StratifiedRisks(
-            RiskPair(risks[0], risks[1]), RiskPair(risks[2], risks[3])
-        )
+        return StratifiedRisks.from_probs(*risks)
     cells = _json_cells(payload["counts"], "counts")
     made = []
     for value, where in cells:

@@ -7,6 +7,18 @@ subclass ValueError, matching how the stdlib reports domain problems.
 
 from __future__ import annotations
 
+__all__ = [
+    "ConcordError",
+    "InputValidationError",
+    "UndefinedMeasure",
+    "DomainError",
+    "ConfigError",
+    "ResolutionError",
+    "DegenerateCell",
+    "ParseError",
+    "UnknownCase",
+]
+
 
 class ConcordError(Exception):
     """Base class for every error raised by this package."""

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 from .errors import DegenerateCell, InputValidationError
-from .measures import RiskPair
 from .agreement import StratifiedRisks
 
 __all__ = [
@@ -123,8 +122,7 @@ def from_counts(table: CountTable, correct_degenerate: bool = False) -> Stratifi
     every cell, which keeps zero- and all-event cells usable at the cost
     of a small bias.
     """
-    p1, p2, p3, p4 = _checked_risks(table, correct_degenerate)
-    return StratifiedRisks(RiskPair(p1, p2), RiskPair(p3, p4))
+    return StratifiedRisks.from_probs(*_checked_risks(table, correct_degenerate))
 
 
 @dataclass(frozen=True)

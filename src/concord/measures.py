@@ -38,6 +38,7 @@ __all__ = [
     "MeasureVector",
     "DerivedMeasures",
     "Orientation",
+    "ALL_KINDS",
     "measure",
     "measure_vector",
     "derived_measures",

@@ -94,7 +94,6 @@ __all__ = [
     "venn_table",
     "venn_csv",
     "venn_json_rows",
-    "subset_mask",
 ]
 
 _BLOCK = 1 << 18  # trials per vectorized block, bounds peak memory

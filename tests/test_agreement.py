@@ -142,13 +142,13 @@ def test_singletons_always_agree():
     assert agree(TEXTBOOK).subset_verdicts[0]  # empty set
 
 
-def test_pair_matrix_symmetric_with_true_diagonal():
+def test_pair_agrees_symmetric_with_true_diagonal():
     report = agree(TEXTBOOK)
-    for i, a in enumerate(ALL_KINDS):
-        assert report.pair_matrix[i][i]
-        for j, b in enumerate(ALL_KINDS):
-            assert report.pair_matrix[i][j] == report.pair_matrix[j][i]
-            assert report.pair_agrees(a, b) == report.pair_matrix[a.bit][b.bit]
+    for a in ALL_KINDS:
+        assert report.pair_agrees(a, a)
+        for b in ALL_KINDS:
+            assert report.pair_agrees(a, b) == report.pair_agrees(b, a)
+            assert report.pair_agrees(a, b) == report.subset_agrees([a, b])
 
 
 def test_requested_kinds_drive_verdict():
@@ -195,9 +195,9 @@ def test_verdicts_match_pairwise_definition(p1, p2, p3, p4, tie_p, tie_q):
     s = strata(p1, p2, p3, p4)
     report = agree(s)
     d = [report.directions[kind] for kind in ALL_KINDS]
-    for i in range(6):
-        for j in range(6):
-            assert report.pair_matrix[i][j] == d[i].agrees_with(d[j])
+    for i, a in enumerate(ALL_KINDS):
+        for j, b in enumerate(ALL_KINDS):
+            assert report.pair_agrees(a, b) == d[i].agrees_with(d[j])
     for mask in range(64):
         members = [i for i in range(6) if mask >> i & 1]
         pairwise = all(d[i].agrees_with(d[j]) for i in members for j in members)
@@ -456,6 +456,25 @@ def test_conditions_checked_under_relabelings():
     assert any(
         c.name == "rr-and-hr-star" and c.labeling == "swap_groups" for c in fired
     )
+
+
+@pytest.mark.parametrize(
+    "risks, name",
+    [
+        ((0.5, 0.5, 0.2, 0.4), "rr-star-and-rd"),  # p1 == p2
+        ((0.2, 0.3, 0.2, 0.5), "rr-and-rd"),  # p3 == p1
+        ((0.2, 0.3, 0.2, 0.5), "rr-star-and-rd"),  # p3 == p1
+        ((0.3, 0.3, 0.4, 0.6), "rr-and-rd"),  # p2 == p1
+        ((0.2, 0.3, 0.4, 0.4), "qualitative-modification"),  # p3 == p4
+        ((0.3, 0.3, 0.2, 0.4), "qualitative-modification"),  # p1 == p2
+    ],
+)
+def test_conditions_fire_at_their_equality_edges(risks, name):
+    # the weak inequalities of each condition include their equality case
+    s = strata(*risks)
+    fired = sufficient_conditions(s)
+    assert any(c.name == name and c.labeling == "identity" for c in fired)
+    assert all(agree(s).subset_agrees(c.forces) for c in fired)
 
 
 def test_describe_mentions_name_and_labeling():
