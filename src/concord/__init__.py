@@ -18,28 +18,17 @@ they do not conflict, all six measures agree), and under iid uniform
 risks all six agree with probability exactly 5/6.
 
 Each module's ``__all__`` is the one list of its public names; the package
-re-exports all of them.
+re-exports all of them. ``montecarlo`` and ``quadrature``, the two modules
+that need numpy, load on first use, so ``concord agree`` and the rest of
+the scalar path start without importing numpy.
 """
 
-# Each module after the ones it imports. Keep this order: imported
-# alphabetically, the heap is laid out differently and `concord exact` ran
-# about 45% slower.
-from . import (
-    errors,
-    measures,
-    agreement,
-    montecarlo,
-    quadrature,
-    inference,
-    casestudies,
-    dataio,
-    report,
-)
+import importlib
+
+from . import errors, measures, agreement, inference, casestudies, dataio, report
 from .errors import *
 from .measures import *
 from .agreement import *
-from .montecarlo import *
-from .quadrature import *
 from .inference import *
 from .casestudies import *
 from .dataio import *
@@ -47,15 +36,38 @@ from .report import *
 
 __version__ = VERSION
 
+# The two modules that need numpy, and their __all__ lists. They load on
+# first use (PEP 562), so that the scalar path starts without numpy.
+_LAZY = {
+    "montecarlo": (
+        "Distribution", "SimulationConfig", "SimulationResult", "VennRow", "run",
+        "tent_inverse_cdf", "tent_cdf", "tent_pdf", "quadruple_density",
+        "venn_table", "venn_csv", "venn_json_rows",
+    ),
+    "quadrature": (
+        "Region", "QuadratureEstimate", "integrand", "region_probability",
+        "region_a_parts", "total_probability", "sum_estimates",
+    ),
+}  # fmt: skip
+
 __all__ = [
     "__version__",
     *errors.__all__,
     *measures.__all__,
     *agreement.__all__,
-    *montecarlo.__all__,
-    *quadrature.__all__,
+    *_LAZY["montecarlo"],
+    *_LAZY["quadrature"],
     *inference.__all__,
     *casestudies.__all__,
     *dataio.__all__,
     *report.__all__,
 ]
+
+
+def __getattr__(name: str):
+    """Load montecarlo or quadrature when it, or one of its names, is first read."""
+    for module_name, names in _LAZY.items():
+        if name == module_name or name in names:
+            module = importlib.import_module(f".{module_name}", __name__)
+            return module if name == module_name else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

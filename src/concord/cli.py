@@ -50,19 +50,6 @@ from .agreement import (
     critical_values,
     disagreement_window,
 )
-from .montecarlo import (
-    Distribution,
-    SimulationConfig,
-    run,
-    venn_json_rows,
-)
-from .quadrature import (
-    QuadratureEstimate,
-    Region,
-    region_a_parts,
-    region_probability,
-    sum_estimates,
-)
 from .inference import CountTable, estimate_rrr, from_counts, modification_test
 from .casestudies import CASE_NAMES, case_study
 from .dataio import load_strata
@@ -71,6 +58,9 @@ from .report import VERSION, ReportEnvelope
 __all__ = ["main", "build_parser"]
 
 _KIND_CHOICES = tuple(kind.value for kind in ALL_KINDS)
+# The Distribution values, written out so that the parser is built without
+# importing montecarlo (and numpy); tests/test_package.py pins them.
+_DIST_CHOICES = ("uniform", "rare", "tent")
 
 
 def _nonnegative_int(text: str) -> int:
@@ -221,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--dist",
-        choices=tuple(d.value for d in Distribution),
+        choices=_DIST_CHOICES,
         default="uniform",
         help="risk distribution (default uniform)",
     )
@@ -434,6 +424,8 @@ def _cmd_window(args: argparse.Namespace) -> ReportEnvelope:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> ReportEnvelope:
+    from .montecarlo import Distribution, SimulationConfig, run, venn_json_rows
+
     seed = _effective_seed(args.seed)
     config = SimulationConfig(
         trials=args.trials,
@@ -463,7 +455,8 @@ def _cmd_simulate(args: argparse.Namespace) -> ReportEnvelope:
     )
 
 
-def _estimate_payload(estimate: QuadratureEstimate) -> dict:
+def _estimate_payload(estimate) -> dict:
+    """A quadrature.QuadratureEstimate as JSON."""
     return {
         "value": estimate.value,
         "error": estimate.error,
@@ -472,6 +465,8 @@ def _estimate_payload(estimate: QuadratureEstimate) -> dict:
 
 
 def _cmd_exact(args: argparse.Namespace) -> ReportEnvelope:
+    from .quadrature import Region, region_a_parts, region_probability, sum_estimates
+
     regions = {
         region.value: region_probability(region, args.resolution) for region in Region
     }

@@ -99,6 +99,12 @@ __all__ = [
 _BLOCK = 1 << 18  # trials per vectorized block, bounds peak memory
 _TILE = 1 << 14  # trials per tile: a float temporary is 128 KiB, within L2
 _N_SUBSETS = 64
+# Rounds of _redraw_on_bounds before it gives up. Each round redraws only
+# the draws still on a bound. At the narrowest valid bounds, with a single
+# double between them, about half the draws land on a bound and a
+# 2^18-trial block took up to 20 rounds; 64 rounds fail with a probability
+# of about 2^18 * 2^-64 per block.
+_REDRAW_ROUNDS = 64
 _FULL_MASK = 63
 
 
@@ -286,11 +292,19 @@ def _redraw_on_bounds(
     """Replace, in place, the values outside the open interval (lower, upper).
 
     redraw(bad) returns fresh draws for values[bad]. The mask is built only
-    when min() or max() shows a bad value.
+    when min() or max() shows a bad value. Raises ConfigError if values are
+    still out of bounds after _REDRAW_ROUNDS rounds.
     """
+    rounds = 0
     while values.min() <= lower or values.max() >= upper:
+        if rounds == _REDRAW_ROUNDS:
+            raise ConfigError(
+                f"draws still fall outside ({lower!r}, {upper!r}) after "
+                f"{rounds} rounds of redrawing; the bounds leave no room to sample"
+            )
         bad = (values <= lower) | (values >= upper)
         values[bad] = redraw(bad)
+        rounds += 1
     return values
 
 

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import concord
 from concord.cli import main
 from concord.report import ReportEnvelope
 
@@ -411,3 +414,47 @@ def test_entry_point_round_trip():
     )
     assert proc.returncode == 0
     assert "concord" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# numpy loads only for simulate and exact
+
+SRC = str(Path(concord.__file__).resolve().parent.parent)
+LIGHT_COMMANDS = [
+    ["agree", "--p1", "0.7", "--p2", "0.9", "--p3", "0.2", "--p4", "0.3"],
+    ["measures", "--p1", "0.7", "--p2", "0.9"],
+    ["critical", "--p1", "0.1", "--p2", "0.2", "--p3", "0.3"],
+    ["window", "RR", "RR*", "--p1", "0.1", "--p2", "0.2", "--p3", "0.3"],
+    ["case", "covid"],
+    ["test-modification", "--in", "counts.csv"],
+]
+
+
+def run_python(cwd, *args):
+    """A fresh interpreter in cwd, with this checkout's concord importable."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
+@pytest.mark.parametrize("argv", LIGHT_COMMANDS, ids=lambda argv: argv[0])
+def test_light_commands_do_not_load_numpy(tmp_path, argv):
+    (tmp_path / "counts.csv").write_text(COUNTS_CSV)
+    code = (
+        "import sys, concord.cli; code = concord.cli.main(sys.argv[1:]); "
+        "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    proc = run_python(tmp_path, "-c", code, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate", "--trials", "1"], ["exact", "--resolution", "8"]], ids=lambda a: a[0]
+)
+def test_numpy_commands_run_from_a_cold_start(tmp_path, argv):
+    proc = run_python(tmp_path, "-m", "concord.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == argv[0]

@@ -14,6 +14,7 @@ from concord.errors import ConfigError, DomainError
 from concord.measures import ALL_KINDS, MeasureKind, RiskPair, measure_vector
 from concord.montecarlo import (
     _BLOCK,
+    _REDRAW_ROUNDS,
     _TILE,
     Distribution,
     SimulationConfig,
@@ -23,6 +24,7 @@ from concord.montecarlo import (
     _draw_block,
     _gate_conflicts,
     _open_uniform,
+    _redraw_on_bounds,
     _tent_quantile,
     _tiled,
     quadruple_density,
@@ -213,6 +215,20 @@ def test_draw_block_keeps_control_risks_off_the_bounds():
         assert np.all((control > bounds[0]) & (control < bounds[1]))
     for exposed in (p2, p4):
         assert np.all((exposed >= bounds[0]) & (exposed < bounds[1]))
+
+
+def test_redraw_gives_up_after_a_fixed_number_of_rounds():
+    rounds = []
+
+    def stuck(bad):  # every redraw lands on a bound again
+        rounds.append(int(bad.sum()))
+        return np.zeros(int(bad.sum()))
+
+    values = np.array([0.5, 0.0, 0.25, 1.0])
+    with pytest.raises(ConfigError, match=f"after {_REDRAW_ROUNDS} rounds"):
+        _redraw_on_bounds(values, stuck, 0.0, 1.0)
+    assert rounds == [2] * _REDRAW_ROUNDS
+    assert values[0] == 0.5 and values[2] == 0.25  # in-bounds draws are kept
 
 
 # The four draw models, as (distribution, bounds).

@@ -1,4 +1,8 @@
-"""Tests for the package surface: concord re-exports each module's __all__."""
+"""Tests for the package surface: concord re-exports each module's __all__.
+
+montecarlo and quadrature load lazily, so __init__ and cli write their
+names out; the last two tests pin those literals to the modules.
+"""
 
 import importlib
 
@@ -74,3 +78,22 @@ def test_star_import_binds_every_name():
 
 def test_published_names_are_still_exported():
     assert set(PUBLISHED) - set(concord.__all__) == set()
+
+
+def test_lazy_name_lists_are_the_module_lists():
+    from concord import montecarlo, quadrature
+
+    assert concord._LAZY == {
+        "montecarlo": tuple(montecarlo.__all__),
+        "quadrature": tuple(quadrature.__all__),
+    }
+
+
+def test_dist_choices_are_the_distribution_values():
+    from concord import cli
+    from concord.montecarlo import Distribution
+
+    assert list(cli._DIST_CHOICES) == [d.value for d in Distribution]
+    parser = cli.build_parser()
+    for value in cli._DIST_CHOICES:
+        assert parser.parse_args(["simulate", "--dist", value]).dist == value

@@ -1,6 +1,7 @@
 """Tests for the deterministic disagreement-probability integrals."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -188,3 +189,75 @@ def test_refinement_shrinks_the_error():
     fine = region_probability(Region.A, 128)
     assert abs(fine.value - 1 / 24) < abs(coarse.value - 1 / 24)
 
+
+
+# ---------------------------------------------------------------------------
+# the scratch-buffer grid against the allocating form it replaced
+
+
+def _unscratched_clip_antiderivative(y):
+    return np.where(y < 1.0, 0.5 * np.square(np.maximum(y, 0.0)), y - 0.5)
+
+
+def _unscratched_region_inner(region, p1, p2):
+    lo, hi = (0.0, p1) if region in (Region.C, Region.D) else (p1, 1.0)
+    R = _unscratched_clip_antiderivative
+    m_rr = p2 / p1
+    m_star = (1.0 - p2) / (1.0 - p1)
+    rr = (R(m_rr * hi) - R(m_rr * lo)) / m_rr
+    star = (R(1.0 - m_star * (1.0 - hi)) - R(1.0 - m_star * (1.0 - lo))) / m_star
+    return rr - star if region in (Region.A, Region.D) else star - rr
+
+
+def _unscratched_part_inner(part, p1, p2):
+    if part == 1:
+        return 0.5 * p1 * (1.0 / p2 - p2)
+    if part == 2:
+        return 1.0 - p1 / p2
+    return 0.5 * (1.0 - p1) * (1.0 + p2)
+
+
+def _unscratched_grid_sum(inner, p2_below, cells):
+    """The grid sum with fresh temporaries for every block."""
+    mids = (np.arange(cells) + 0.5) / cells
+    u = mids[None, :]
+    rows = max(1, quadrature._BLOCK_POINTS // cells)
+    total = 0.0
+    for first in range(0, cells, rows):
+        p1 = mids[first : first + rows, None]
+        width = p1 if p2_below else 1.0 - p1
+        p2 = width * u if p2_below else p1 + width * u
+        total += float((width * inner(p1, p2)).sum())
+    return total / cells**2
+
+
+INNERS = [
+    *((f"region-{region.value}", partial(quadrature._region_inner, region),
+       partial(_unscratched_region_inner, region)) for region in Region),
+    *((f"part-{part}", partial(quadrature._part_inner, part),
+       partial(_unscratched_part_inner, part)) for part in (1, 2, 3)),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("cells", [8, 100, 257, 3000])  # partial last blocks, and rows=2
+@pytest.mark.parametrize("p2_below", [False, True])
+@pytest.mark.parametrize("name, inner, unscratched", INNERS, ids=[i[0] for i in INNERS])
+def test_scratch_grid_sum_is_bit_identical(name, inner, unscratched, p2_below, cells):
+    assert quadrature._grid_sum(inner, p2_below, cells) == _unscratched_grid_sum(
+        unscratched, p2_below, cells
+    )
+
+
+@pytest.mark.parametrize("p2_below", [False, True])
+@pytest.mark.parametrize("name, inner, unscratched", INNERS, ids=[i[0] for i in INNERS])
+def test_scratch_inner_values_are_bit_identical(name, inner, unscratched, p2_below):
+    # Elementwise, since a total can hide a last-bit change in one point.
+    cells = 257
+    mids = (np.arange(cells) + 0.5) / cells
+    p1 = mids[:, None]
+    width = p1 if p2_below else 1.0 - p1
+    p2 = width * mids[None, :] if p2_below else p1 + width * mids[None, :]
+    (out, *work), mask = quadrature._scratch(p2.shape, 1 + quadrature._REGION_WORK)
+    expected = unscratched(p1, p2).view(np.int64)
+    for _ in range(2):  # the second call finds the first call's values in the scratch
+        assert np.array_equal(inner(p1, p2, out, work, mask).view(np.int64), expected)
