@@ -158,13 +158,23 @@ def _check_boundary(pair: RiskPair) -> None:
         )
 
 
-def _relative_risks(a, b) -> tuple:
+def _relative_risks(a, b, out=None) -> tuple:
     """(RR, RR*) for risks strictly inside (0, 1), as floats or arrays.
 
     The one copy of the two formulas: the six-measure table, the simulator's
-    RR/RR* screen and the sufficient conditions all evaluate it.
+    RR/RR* screen and the sufficient conditions all evaluate it. out, a pair
+    of arrays shaped like a and b and aliasing neither, receives RR and RR*
+    through the same operations, with no temporaries.
     """
-    return b / a, (1.0 - a) / (1.0 - b)
+    if out is None:
+        return b / a, (1.0 - a) / (1.0 - b)
+    import numpy as np  # only arrays come with out; numpy is already loaded
+
+    rr, rr_star = out
+    np.subtract(1.0, b, out=rr)  # 1 - b, until RR overwrites it
+    np.divide(np.subtract(1.0, a, out=rr_star), rr, out=rr_star)
+    np.divide(b, a, out=rr)
+    return rr, rr_star
 
 
 def _strict_measures(a, b, log=math.log, log1p=math.log1p) -> tuple:

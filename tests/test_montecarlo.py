@@ -14,6 +14,7 @@ from concord.errors import ConfigError, DomainError
 from concord.measures import ALL_KINDS, MeasureKind, RiskPair, measure_vector
 from concord.montecarlo import (
     _BLOCK,
+    _QUANTILE_WORK,
     _REDRAW_ROUNDS,
     _TILE,
     Distribution,
@@ -26,6 +27,7 @@ from concord.montecarlo import (
     _open_uniform,
     _redraw_on_bounds,
     _tent_quantile,
+    _tile_scratch,
     _tiled,
     quadruple_density,
     run,
@@ -309,18 +311,94 @@ def test_tiled_tent_quantile_matches_untiled_reference(n, lower, upper):
     assert np.array_equal(u, expected)
 
 
+def _tent_bounds_ok(bounds):
+    try:
+        SimulationConfig(distribution=Distribution.TENT_DEPENDENT, bounds=bounds)
+    except ConfigError:
+        return False
+    return True
+
+
+tent_bounds = st.one_of(
+    st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (0.2, 0.8), (0.0, 1e-130)]),
+    st.tuples(unit, unit).map(lambda b: (min(b), max(b))).filter(_tent_bounds_ok),
+)
+
+
+@settings(max_examples=300)
+@given(
+    tent_bounds,
+    st.one_of(unit, st.sampled_from(["above lower", "below upper"])),
+    st.one_of(unit, st.integers(min_value=-2, max_value=2)),
+)
+@example((0.2, 0.8), 0.03873938237130803, 0)  # u on the branch threshold
+@example((0.0, 1.0), 0.3, 0.0)
+@example((0.0, 1.0), 0.3, 1.0)
+@example((-0.0, 1.0), 0.5, 0.0)
+@example((-0.0, 1.0), 0.5, -0.0)  # the left branch is -0.0
+@example((0.0, 1e-130), 0.5, 0.25)
+@example((0.0, 1e-130), 0.5, 1.0)
+@example((0.2, 0.8), "above lower", 0.5)
+@example((0.2, 0.8), "below upper", 0.5)
+def test_blended_tent_quantile_is_the_where_quantile(bounds, t, u):
+    # the peak is lower + t * span, or one ulp inside a bound; an integer u
+    # means: u on the branch threshold, moved by that many ulp
+    lower, upper = bounds
+    if t == "above lower":
+        peak = math.nextafter(lower, upper)
+    elif t == "below upper":
+        peak = math.nextafter(upper, lower)
+    else:
+        peak = lower + t * (upper - lower)
+    assume(lower < peak < upper)
+    if isinstance(u, int):
+        threshold = (peak - lower) / (upper - lower)
+        u = min(1.0, max(0.0, threshold + u * math.ulp(threshold)))
+    expected = _untiled_tent_ppf(np.array([u]), np.array([peak]), lower, upper)
+    quantile = partial(_tent_quantile, lower=lower, upper=upper)
+    scalar = np.array([tent_inverse_cdf(u, peak, bounds)])
+    work = np.empty((_QUANTILE_WORK, 1))
+    tiled = _tiled(quantile, np.empty(1), np.array([u]), np.array([peak]), work=work)
+    for got in (scalar, tiled):
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 @pytest.mark.parametrize("dist, bounds", DRAW_MODELS)
 def test_draw_block_into_reused_buffers_matches_fresh_arrays(dist, bounds):
     cfg = SimulationConfig(trials=1, distribution=dist, bounds=bounds)
     fresh_rng, reused_rng = np.random.default_rng(6), np.random.default_rng(6)
     buffers = np.full((4, _BLOCK + 3), np.nan)
+    work = _tile_scratch(_TILE)
     for n in (_BLOCK, _TILE + 1):  # a full block, then a partial one
         fresh = _draw_block(fresh_rng, n, cfg)
-        reused = _draw_block(reused_rng, n, cfg, out=buffers)
+        reused = _draw_block(reused_rng, n, cfg, out=buffers, work=work)
         for a, b, buffer in zip(fresh, reused, buffers):
             assert np.array_equal(a, b)
             assert np.shares_memory(b, buffer)
     assert fresh_rng.random() == reused_rng.random()
+
+
+def test_tent_block_and_screen_allocate_no_tile_temporaries():
+    # A float temporary of one tile is 8 * _TILE bytes. Drawing a tent block
+    # allocates the quantile's tile scratch when it is not handed one, and
+    # nothing else; the slack of 2 * _TILE bytes covers numpy's casting
+    # buffer of 8,192 elements.
+    cfg = SimulationConfig(trials=1, distribution=Distribution.TENT_DEPENDENT)
+    buffers, gate = np.empty((4, _BLOCK)), np.empty(_BLOCK, dtype=bool)
+    work = _tile_scratch(_TILE)
+    draw = partial(_draw_block, np.random.default_rng(8), _BLOCK, cfg, out=buffers)
+    screen = partial(_tiled, _gate_conflicts, gate, *buffers, work=work)
+    draw(), screen()  # warm-up
+    calls = [(draw, _QUANTILE_WORK * 8 * _TILE), (partial(draw, work=work), 0), (screen, 0)]
+    for call, scratch in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < scratch + 2 * _TILE
 
 
 @pytest.mark.parametrize(
