@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import InputValidationError
 from .measures import (
@@ -123,14 +123,15 @@ class StratifiedRisks:
 
 
 def _directions(
-    strata: StratifiedRisks, count: int = len(ALL_KINDS)
+    strata: StratifiedRisks, measures: Callable[[RiskPair], tuple] = _measures
 ) -> tuple[Direction, ...]:
-    """Directions of the first `count` measures in ALL_KINDS order.
+    """Directions of the measures that `measures` gives each stratum.
 
-    RR and RR* lead ALL_KINDS, so count=2 compares only the gate pair.
+    The default compares all six in ALL_KINDS order; rr_gate passes
+    _gate_pair, which gives the leading two.
     """
-    em_p = _measures(strata.stratum_p)[:count]
-    em_q = _measures(strata.stratum_q)[:count]
+    em_p = measures(strata.stratum_p)
+    em_q = measures(strata.stratum_q)
     return tuple(
         Direction.NULL
         if math.isclose(p, q, rel_tol=_TIE_REL_TOL)
@@ -195,8 +196,15 @@ def rr_gate(strata: StratifiedRisks) -> bool:
     When the gate fires, all six measures agree; only RR and RR* are
     compared here, which is what makes the gate a cheap screen.
     """
-    d_rr, d_rr_star = _directions(strata, 2)
+    d_rr, d_rr_star = _directions(strata, _gate_pair)
     return d_rr.agrees_with(d_rr_star)
+
+
+def _gate_pair(pair: RiskPair) -> tuple[float, float]:
+    """RR and RR* of one stratum; a strict one skips the four other measures."""
+    if pair.is_strict:
+        return _relative_risks(pair.p_control, pair.p_exposed)
+    return _measures(pair)[:2]
 
 
 def _require_strict_probs(**named: float) -> None:

@@ -177,17 +177,31 @@ def _relative_risks(a, b, out=None) -> tuple:
     return rr, rr_star
 
 
-def _strict_measures(a, b, log=math.log, log1p=math.log1p) -> tuple:
+def _strict_measures(a, b, log=math.log, log1p=math.log1p, out=None) -> tuple:
     """The six measures in ALL_KINDS order, for risks strictly inside (0, 1).
 
     a and b may be floats or arrays; pass numpy's log and log1p for arrays.
     This is the one copy of the formulas: the scalar path and the simulator
-    both evaluate it.
+    both evaluate it. out, six arrays shaped like a and b and aliasing
+    neither, receives the measures through the same operations, with no
+    temporaries; log and log1p are then numpy's.
     """
-    rr, rr_star = _relative_risks(a, b)
-    # OR is factored as RR * RR*: the single fraction b(1-a) / (a(1-b)) can
-    # underflow a subnormal denominator to exact zero
-    return (rr, rr_star, log1p(-b) / log1p(-a), log(a) / log(b), b - a, rr * rr_star)
+    if out is None:
+        rr, rr_star = _relative_risks(a, b)
+        # OR is factored as RR * RR*: the single fraction b(1-a) / (a(1-b))
+        # can underflow a subnormal denominator to exact zero
+        return (rr, rr_star, log1p(-b) / log1p(-a), log(a) / log(b), b - a, rr * rr_star)
+    import numpy as np  # only arrays come with out; numpy is already loaded
+
+    rr, rr_star, hr, hr_star, rd, odds = out
+    _relative_risks(a, b, out=(rr, rr_star))
+    # rd and odds hold the divisors until their own values overwrite them
+    np.log1p(np.negative(b, out=hr), out=hr)
+    np.divide(hr, np.log1p(np.negative(a, out=rd), out=rd), out=hr)
+    np.divide(np.log(a, out=hr_star), np.log(b, out=odds), out=hr_star)
+    np.subtract(b, a, out=rd)
+    np.multiply(rr, rr_star, out=odds)
+    return tuple(out)
 
 
 def _boundary_measures(a: float, b: float) -> tuple[float, ...]:

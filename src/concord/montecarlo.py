@@ -7,7 +7,7 @@ opposite directions). Frequencies over many trials estimate the
 agreement probabilities.
 
 The measures come from the formulas the scalar path uses,
-measures._strict_measures, evaluated on whole blocks of draws. Directions
+measures._strict_measures, evaluated on arrays of draws. Directions
 compare the two strata exactly, with no tie band: the draws are
 continuous, so ties have probability zero (the agreement module states
 the scalar tie rule).
@@ -48,22 +48,40 @@ falls left of the peak is random, so np.where's per-element branch
 mispredicts, and on a 16K tile it took 70-80 us against 15 us for a sorted
 mask. The blend is bit for bit the np.where value (see _tent_quantile).
 
-Reproducibility: all trials come from one generator, seeded with the
-first child that SeedSequence(seed) spawns, and are drawn in blocks of a
-fixed size. The counts are therefore a function of (seed, trials,
-distribution, bounds) alone, bit-identical from run to run.
+Reproducibility: all trials come from one PCG64 generator, seeded with the
+first child that SeedSequence(seed) spawns, and are drawn in blocks of
+_BLOCK trials (the last block may be shorter). _draw_block defines the
+stream; the counts are therefore a function of (seed, trials,
+distribution, bounds) alone, bit-identical from run to run. Each uniform
+draw takes exactly one 64-bit output of the generator, so a block of n
+trials takes 4n outputs: n for each of p1, p2, p3, p4 in turn, or p1, p3,
+p2, p4 for tent. The exception is a value that _draw_block redraws (a
+uniform 0.0, a tent control risk on a bound, an exposed risk on 0 or 1):
+the redraws take the outputs right after that risk's n, and the later
+risks of the block move along. run streams such a block through
+_draw_block itself (see Memory).
 
-Memory: run allocates four float buffers of one block once, and
-_draw_block fills them in place with rng.random(out=...) in the order of
-fresh arrays (p1, p2, p3, p4; for tent p1, p3, then p2, p4), so the
-stream is unchanged. The tent quantile, the RR/RR* screen and the kernel
-are elementwise and run _TILE trials at a time (_tiled, and the kernel
-loop in run), so every value is bit-identical to an untiled evaluation.
-The quantile and the screen write every step into one tile scratch
-(_tile_scratch: four float and two bool arrays of _TILE entries) that run
-allocates once and lends to both, so they allocate nothing per tile; only
-the kernel's temporaries, 128 KiB each, are still made per tile. A fresh
-process thus pays fewer minor page faults in its first run.
+Memory: run never holds a block. For each block it sets four copies of
+the generator, the lanes, to the places of p1, p2, p3, p4 in the block's
+stream (PCG64.advance) and draws _TILE trials at a time from them
+(_draw_tile); then it advances the generator past the block's 4n outputs.
+The RR/RR* screen runs on each tile while it is still in cache, and the
+conflicts are packed into a _TILE-trial buffer that goes through the
+kernel when the next tile's conflicts would not fit, and at the end of
+the block (_BlockHistogram). The tent quantile, the screen and the kernel
+are elementwise and the histogram is a sum, so every count equals that of
+an untiled evaluation. A tile holding a value that _draw_block would
+redraw cannot be placed from the lanes, so the block's counts so far are
+dropped and _drawn_block_counts draws that block whole through
+_draw_block, into four arrays of the block allocated only then. At the
+default bounds this never happened in 5 seeds of 1e6 trials for each
+distribution; at bounds two doubles apart it happens on every block.
+Every array a run works in, about 3.2 MiB, is cut from one allocation
+(_Scratch): the tile's draws, the screen's and the quantile's work, the
+packed conflicts, and the kernel's measures and keys. As separate pieces
+of 16 KiB-1.5 MiB they were trimmed by glibc and faulted in again, about
+720 minor faults per 1e6-trial run; in one allocation a steady-state run
+faults none.
 """
 
 from __future__ import annotations
@@ -75,7 +93,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -309,7 +327,7 @@ def _tile_scratch(n: int) -> list[np.ndarray]:
     """Scratch for n trials: four float arrays, then two bool arrays.
 
     The tent quantile uses the first _QUANTILE_WORK arrays and the RR/RR*
-    screen all six; run allocates one for its tiles and lends it to both.
+    screen all six; run's _Scratch holds one such layout for its tiles.
     """
     return [*np.empty((4, n)), *np.empty((2, n), dtype=bool)]
 
@@ -436,28 +454,55 @@ def _draw_block(
     return p1, p2, p3, p4
 
 
-def _direction_masks(
-    p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray
-) -> np.ndarray:
-    """Per-trial key (toward_p_bits << 6) | toward_q_bits over the six kinds."""
-    em_p = _strict_measures(p1, p2, np.log, np.log1p)
-    em_q = _strict_measures(p3, p4, np.log, np.log1p)
-    toward_p = np.zeros(p1.shape, dtype=np.uint16)
-    toward_q = np.zeros(p1.shape, dtype=np.uint16)
+_KERNEL_FLOATS = 12  # float scratch arrays of _direction_masks, six per stratum
+
+
+def _direction_masks(p1, p2, p3, p4, out=None, work=None) -> np.ndarray:
+    """Per-trial key (toward_p_bits << 6) | toward_q_bits over the six kinds.
+
+    The keys go into out, an intp array, and every step writes into out or
+    into work: _KERNEL_FLOATS float arrays, a bool array and three uint8
+    arrays, all of p1's shape. Without them, fresh arrays are allocated.
+    """
+    if out is None:
+        out = np.empty(p1.shape, dtype=np.intp)
+    if work is None:
+        work = [
+            *np.empty((_KERNEL_FLOATS, *p1.shape)),
+            np.empty(p1.shape, dtype=bool),
+            *np.empty((3, *p1.shape), dtype=np.uint8),
+        ]
+    em_p = _strict_measures(p1, p2, out=work[:6])
+    em_q = _strict_measures(p3, p4, out=work[6:_KERNEL_FLOATS])
+    flag, bits, toward_p, toward_q = work[_KERNEL_FLOATS:]
+    toward_p.fill(0)
+    toward_q.fill(0)
     for bit, (vp, vq) in enumerate(zip(em_p, em_q)):
-        toward_p |= (vq < vp).astype(np.uint16) << bit
-        toward_q |= (vq > vp).astype(np.uint16) << bit
-    return (toward_p.astype(np.uint32) << 6) | toward_q
+        for side, compare in ((toward_p, np.less), (toward_q, np.greater)):
+            compare(vq, vp, out=flag)
+            np.left_shift(flag.view(np.uint8), bit, out=bits)
+            np.bitwise_or(side, bits, out=side)
+    np.left_shift(toward_p, 6, out=out, dtype=np.intp)
+    return np.bitwise_or(out, toward_q, out=out)
+
+
+@cache
+def _agreement_rows() -> np.ndarray:
+    """For each of the 64 subsets, the direction keys on which it agrees.
+
+    A read-only (64, 4096) bool array, built once per process from
+    subset_agrees.
+    """
+    keys = np.arange(4096)
+    rows = np.stack(
+        [subset_agrees(keys >> 6, keys & 63, mask) for mask in range(_N_SUBSETS)]
+    )
+    rows.flags.writeable = False
+    return rows
 
 
 def _counts_from_histogram(hist: np.ndarray) -> tuple[int, ...]:
-    keys = np.arange(4096)
-    key_toward_p = keys >> 6
-    key_toward_q = keys & 63
-    return tuple(
-        int(hist[subset_agrees(key_toward_p, key_toward_q, mask)].sum())
-        for mask in range(_N_SUBSETS)
-    )
+    return tuple(int(hist[row].sum()) for row in _agreement_rows())
 
 
 def _gate_conflicts(p1, p2, p3, p4, out=None, work=None):
@@ -486,24 +531,171 @@ def _gate_conflicts(p1, p2, p3, p4, out=None, work=None):
     return np.logical_or(out, flag, out=out)
 
 
+def _draw_tile(
+    lanes: Sequence[np.random.Generator],
+    config: SimulationConfig,
+    out: Sequence[np.ndarray],
+    work: Sequence[np.ndarray],
+) -> bool:
+    """Draw one tile of (p1, p2, p3, p4) into out, each risk from its own lane.
+
+    lanes[k] sits where the tile's draws of risk k lie in the block's stream,
+    so each value is _draw_block's, unless _draw_block would redraw one of
+    the block's values: a uniform 0.0, a control risk on a bound, or an
+    exposed risk on 0 or 1. Returns False when the tile holds such a value.
+    work is scratch for the tent quantile, laid out as _tile_scratch's, of
+    at least the tile's size.
+    """
+    for lane, risk in zip(lanes, out):
+        if not lane.random(out=risk).all():
+            return False
+    dist = config.distribution
+    if dist is not Distribution.TENT_DEPENDENT:
+        if dist is Distribution.UNIFORM_RARE:
+            for risk in out:
+                np.multiply(risk, 0.1, out=risk)
+        return True
+    p1, p2, p3, p4 = out
+    lower, upper = config.bounds
+    for risk in (p1, p3):
+        # lower + span * u, as _draw_block's control risks
+        np.add(np.multiply(risk, upper - lower, out=risk), lower, out=risk)
+        if risk.min() <= lower or risk.max() >= upper:
+            return False
+    work = [row[: p1.size] for row in work[:_QUANTILE_WORK]]
+    for risk, peak in ((p2, p1), (p4, p3)):
+        _tent_quantile(risk, peak, lower, upper, out=risk, work=work)
+        if risk.min() <= 0.0 or risk.max() >= 1.0:
+            return False
+    return True
+
+
+class _Scratch:
+    """Every array a run works in, cut from one allocation, for tiles of n trials.
+
+    draws       the four risks of a tile
+    screen      _gate_conflicts' work, laid out as _tile_scratch's; the
+                tent quantile uses its first _QUANTILE_WORK arrays
+    gate        the screen's flags
+    packed      the four risks of up to n conflicts awaiting the kernel
+    keys, kernel  _direction_masks' out and work
+    """
+
+    def __init__(self, n: int) -> None:
+        rows = np.empty((4 + 4 + 4 + _KERNEL_FLOATS + 2, n))
+        flags = rows[-1].view(np.uint8).reshape(8, n)  # eight byte arrays
+        self.draws = list(rows[0:4])
+        self.screen = [*rows[4:8], *flags[0:2].view(bool)]
+        self.gate = flags[2].view(bool)
+        self.packed = list(rows[8:12])
+        self.keys = rows[-2].view(np.intp)
+        self.kernel = [
+            *rows[12 : 12 + _KERNEL_FLOATS], flags[3].view(bool), *flags[4:7]
+        ]
+
+
+class _BlockHistogram:
+    """Direction-key histogram of one block's screened trials.
+
+    add() screens one tile: trials with no RR/RR* conflict count at key 0,
+    and the conflicts are packed into scratch.packed. The kernel runs on
+    the packed trials when the next tile's conflicts would not fit, and on
+    finish(). Tiles may be added in any grouping: the kernel is
+    elementwise and the histogram a sum.
+    """
+
+    def __init__(self, scratch: _Scratch) -> None:
+        self.scratch = scratch
+        self.counts = np.zeros(4096, dtype=np.int64)
+        self.packed = 0
+
+    def add(self, draws: Sequence[np.ndarray]) -> None:
+        scratch, width = self.scratch, draws[0].size
+        gate = _gate_conflicts(
+            *draws,
+            out=scratch.gate[:width],
+            work=[row[:width] for row in scratch.screen],
+        )
+        conflicts = np.flatnonzero(gate)
+        n = conflicts.size
+        if self.packed + n > scratch.keys.size:  # no room for this tile's
+            self._run_kernel()
+        start = self.packed
+        for risk, packed in zip(draws, scratch.packed):
+            np.take(risk, conflicts, out=packed[start : start + n], mode="clip")
+        self.packed = start + n
+        # every other trial agrees on all 64 subsets, as key 0 does
+        self.counts[0] += width - n
+
+    def finish(self) -> np.ndarray:
+        self._run_kernel()
+        return self.counts
+
+    def _run_kernel(self) -> None:
+        scratch, n = self.scratch, self.packed
+        keys = _direction_masks(
+            *(risk[:n] for risk in scratch.packed),
+            out=scratch.keys[:n],
+            work=[row[:n] for row in scratch.kernel],
+        )
+        self.counts += np.bincount(keys, minlength=4096)
+        self.packed = 0
+
+
+def _block_counts(
+    rng: np.random.Generator,
+    lanes: Sequence[np.random.Generator],
+    n: int,
+    config: SimulationConfig,
+    scratch: _Scratch,
+) -> np.ndarray:
+    """Direction-key histogram of the next n trials of rng's stream.
+
+    Streams the block tile by tile: lanes are set to the places of p1..p4
+    in the block's stream, and rng then moves past the block. When a tile
+    shows a value that _draw_block redraws, the block's counts so far are
+    dropped and _drawn_block_counts draws the block whole.
+    """
+    # where p1, p2, p3, p4 start in the block's stream, in units of n:
+    # _draw_block draws them in turn, or p1, p3, p2, p4 for tent
+    tent = config.distribution is Distribution.TENT_DEPENDENT
+    places = (0, 2, 1, 3) if tent else (0, 1, 2, 3)
+    state = rng.bit_generator.state
+    for lane, place in zip(lanes, places):
+        lane.bit_generator.state = state
+        lane.bit_generator.advance(place * n)
+    hist = _BlockHistogram(scratch)
+    for tile in _tiles(n):
+        draws = [row[: tile.stop - tile.start] for row in scratch.draws]
+        if not _draw_tile(lanes, config, draws, scratch.screen):
+            return _drawn_block_counts(rng, n, config, scratch)
+        hist.add(draws)
+    rng.bit_generator.advance(4 * n)
+    return hist.finish()
+
+
+def _drawn_block_counts(
+    rng: np.random.Generator, n: int, config: SimulationConfig, scratch: _Scratch
+) -> np.ndarray:
+    """_block_counts through _draw_block, into arrays allocated only here."""
+    block = _draw_block(rng, n, config, work=scratch.screen)
+    hist = _BlockHistogram(scratch)
+    for tile in _tiles(n):
+        hist.add([risk[tile] for risk in block])
+    return hist.finish()
+
+
 def run(config: SimulationConfig) -> SimulationResult:
     """Run the simulation; deterministic for a fixed seed."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    # each lane's state is overwritten before it draws
+    lanes = [np.random.Generator(np.random.PCG64()) for _ in range(4)]
+    scratch = _Scratch(min(_TILE, config.trials))
     hist = np.zeros(4096, dtype=np.int64)
-    width = min(_BLOCK, config.trials)
-    buffers = np.empty((4, width))
-    gate = np.empty(width, dtype=bool)
-    work = _tile_scratch(min(_TILE, width))
     remaining = config.trials
     while remaining > 0:
         block = min(_BLOCK, remaining)
-        draws = _draw_block(rng, block, config, out=buffers, work=work)
-        conflicts = np.flatnonzero(_tiled(_gate_conflicts, gate[:block], *draws, work=work))
-        for tile in _tiles(conflicts.size):
-            keys = _direction_masks(*(p[conflicts[tile]] for p in draws))
-            hist += np.bincount(keys, minlength=4096)
-        # every other trial agrees on all 64 subsets, as key 0 does
-        hist[0] += block - conflicts.size
+        hist += _block_counts(rng, lanes, block, config, scratch)
         remaining -= block
     return SimulationResult(
         config=config, trials=config.trials, counts=_counts_from_histogram(hist)

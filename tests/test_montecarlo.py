@@ -10,8 +10,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from concord.agreement import Direction, StratifiedRisks, agree, critical_p4
+from concord import montecarlo
 from concord.errors import ConfigError, DomainError
-from concord.measures import ALL_KINDS, MeasureKind, RiskPair, measure_vector
+from concord.measures import (
+    ALL_KINDS,
+    MeasureKind,
+    RiskPair,
+    _strict_measures,
+    measure_vector,
+)
 from concord.montecarlo import (
     _BLOCK,
     _QUANTILE_WORK,
@@ -548,7 +555,14 @@ def _unscreened_counts(config):
     return _counts_from_histogram(hist)
 
 
-@pytest.mark.parametrize("dist, bounds", DRAW_MODELS)
+# Two doubles apart: about half the draws land on a bound, so run redraws
+# every block through _draw_block.
+TWO_ULP_BOUNDS = (0.5, 0.5000000000000002)
+
+
+@pytest.mark.parametrize(
+    "dist, bounds", [*DRAW_MODELS, (Distribution.TENT_DEPENDENT, TWO_ULP_BOUNDS)]
+)
 @pytest.mark.parametrize("seed, trials", [(3, _BLOCK + 7), (0, 1), (1, 1)])
 def test_screened_counts_equal_unscreened_counts(dist, bounds, seed, trials):
     # with one trial, seed 0 draws an RR/RR* conflict and seed 1 does not
@@ -569,6 +583,57 @@ def test_run_allocates_no_block_sized_temporaries(dist):
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("dist", list(Distribution))
+def test_redrawn_block_keeps_the_seeded_counts(dist, monkeypatch):
+    # A tile that _draw_block would redraw sends its whole block through
+    # _draw_block, after the block's earlier tiles were counted; here the
+    # sixth tile of the first block is made to report one.
+    calls, redrawn = [], []
+    draw_tile = montecarlo._draw_tile
+    drawn_block_counts = montecarlo._drawn_block_counts
+
+    def draw_tile_once_off_stream(*args):
+        calls.append(None)
+        return draw_tile(*args) and len(calls) != 6
+
+    def counting_drawn_block_counts(rng, n, *args):
+        redrawn.append(n)
+        return drawn_block_counts(rng, n, *args)
+
+    monkeypatch.setattr(montecarlo, "_draw_tile", draw_tile_once_off_stream)
+    monkeypatch.setattr(montecarlo, "_drawn_block_counts", counting_drawn_block_counts)
+    result = run(SimulationConfig(trials=300_000, seed=7, distribution=dist))
+    assert redrawn == [_BLOCK]
+    assert result.counts == GOLDEN_COUNTS[dist]
+
+
+@pytest.mark.parametrize("dist", list(Distribution))
+def test_run_holds_no_block(dist):
+    # run() streams each block tile by tile through one scratch allocation
+    # of about 3.2 MiB; a block of four float arrays alone is 8 MiB
+    cfg = SimulationConfig(trials=1_000_000, distribution=dist)
+    run(cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_strict_measures_through_out_match_fresh_arrays():
+    rng = np.random.default_rng(10)
+    a, b = rng.random((2, 4096))
+    a[:3], b[:3] = [5e-324, 1e-300, 1 - 2**-53], [1e-300, 5e-324, 0.5]
+    out = list(np.full((6, 4096), np.nan))
+    fresh = _strict_measures(a, b, np.log, np.log1p)
+    through_out = _strict_measures(a, b, out=out)
+    for got, expected, row in zip(through_out, fresh, out):
+        assert got is row
+        assert np.array_equal(got, expected)
 
 
 def test_counts_shrink_as_subsets_grow():
