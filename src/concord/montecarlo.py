@@ -598,9 +598,9 @@ class _BlockHistogram:
     """Direction-key histogram of one block's screened trials.
 
     add() screens one tile: trials with no RR/RR* conflict count at key 0,
-    and the conflicts are packed into scratch.packed. The kernel runs on
-    the packed trials when the next tile's conflicts would not fit, and on
-    finish(). Tiles may be added in any grouping: the kernel is
+    and the conflicts are packed into scratch.packed. flush() runs the
+    kernel on the packed trials; add() calls it when the tile's conflicts
+    would not fit. Tiles may be added in any grouping: the kernel is
     elementwise and the histogram a sum.
     """
 
@@ -618,8 +618,8 @@ class _BlockHistogram:
         )
         conflicts = np.flatnonzero(gate)
         n = conflicts.size
-        if self.packed + n > scratch.keys.size:  # no room for this tile's
-            self._run_kernel()
+        if self.packed + n > scratch.keys.size:
+            self.flush()
         start = self.packed
         for risk, packed in zip(draws, scratch.packed):
             np.take(risk, conflicts, out=packed[start : start + n], mode="clip")
@@ -627,11 +627,8 @@ class _BlockHistogram:
         # every other trial agrees on all 64 subsets, as key 0 does
         self.counts[0] += width - n
 
-    def finish(self) -> np.ndarray:
-        self._run_kernel()
-        return self.counts
-
-    def _run_kernel(self) -> None:
+    def flush(self) -> np.ndarray:
+        """Count the packed trials' keys; returns the block's counts so far."""
         scratch, n = self.scratch, self.packed
         keys = _direction_masks(
             *(risk[:n] for risk in scratch.packed),
@@ -640,6 +637,7 @@ class _BlockHistogram:
         )
         self.counts += np.bincount(keys, minlength=4096)
         self.packed = 0
+        return self.counts
 
 
 def _block_counts(
@@ -671,7 +669,7 @@ def _block_counts(
             return _drawn_block_counts(rng, n, config, scratch)
         hist.add(draws)
     rng.bit_generator.advance(4 * n)
-    return hist.finish()
+    return hist.flush()
 
 
 def _drawn_block_counts(
@@ -682,7 +680,7 @@ def _drawn_block_counts(
     hist = _BlockHistogram(scratch)
     for tile in _tiles(n):
         hist.add([risk[tile] for risk in block])
-    return hist.finish()
+    return hist.flush()
 
 
 def run(config: SimulationConfig) -> SimulationResult:
