@@ -40,7 +40,8 @@ def load_strata(
     """Parse a risks or counts file; the schema decides the return type.
 
     format is "csv" or "json"; when omitted it is inferred from the file
-    suffix. OSError propagates if the file cannot be read.
+    suffix. The file is UTF-8, optionally after a byte-order mark, as Excel
+    and PowerShell write. OSError propagates if the file cannot be read.
     """
     file_path = Path(path)
     if format is None:
@@ -53,7 +54,7 @@ def load_strata(
         format = suffix
     elif format not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
-    return parse_strata_text(file_path.read_text(encoding="utf-8"), format)
+    return parse_strata_text(file_path.read_text(encoding="utf-8-sig"), format)
 
 
 def parse_strata_text(

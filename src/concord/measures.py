@@ -177,19 +177,20 @@ def _relative_risks(a, b, out=None) -> tuple:
     return rr, rr_star
 
 
-def _strict_measures(a, b, log=math.log, log1p=math.log1p, out=None) -> tuple:
+def _strict_measures(a, b, out=None) -> tuple:
     """The six measures in ALL_KINDS order, for risks strictly inside (0, 1).
 
-    a and b may be floats or arrays; pass numpy's log and log1p for arrays.
     This is the one copy of the formulas: the scalar path and the simulator
-    both evaluate it. out, six arrays shaped like a and b and aliasing
-    neither, receives the measures through the same operations, with no
-    temporaries; log and log1p are then numpy's.
+    both evaluate it. Without out, a and b are floats, evaluated with math.
+    With out, six arrays shaped like a and b and aliasing neither, a and b
+    are arrays, and out receives the measures through the same operations
+    in numpy, with no temporaries.
     """
     if out is None:
         rr, rr_star = _relative_risks(a, b)
         # OR is factored as RR * RR*: the single fraction b(1-a) / (a(1-b))
         # can underflow a subnormal denominator to exact zero
+        log, log1p = math.log, math.log1p
         return (rr, rr_star, log1p(-b) / log1p(-a), log(a) / log(b), b - a, rr * rr_star)
     import numpy as np  # only arrays come with out; numpy is already loaded
 

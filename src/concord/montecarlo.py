@@ -71,17 +71,17 @@ kernel when the next tile's conflicts would not fit, and at the end of
 the block (_BlockHistogram). The tent quantile, the screen and the kernel
 are elementwise and the histogram is a sum, so every count equals that of
 an untiled evaluation. A tile holding a value that _draw_block would
-redraw cannot be placed from the lanes, so the block's counts so far are
-dropped and _drawn_block_counts draws that block whole through
-_draw_block, into four arrays of the block allocated only then. At the
-default bounds this never happened in 5 seeds of 1e6 trials for each
-distribution; at bounds two doubles apart it happens on every block.
-Every array a run works in, about 3.2 MiB, is cut from one allocation
-(_Scratch): the tile's draws, the screen's and the quantile's work, the
-packed conflicts, and the kernel's measures and keys. As separate pieces
-of 16 KiB-1.5 MiB they were trimmed by glibc and faulted in again, about
-720 minor faults per 1e6-trial run; in one allocation a steady-state run
-faults none.
+redraw cannot be placed from the lanes, so _block_counts drops the
+block's counts so far and draws the block through _draw_block: its four
+arrays of the block, plus one tile of quantile work for tent, are
+allocated only then. At the default bounds this never happened in 5 seeds
+of 1e6 trials for each distribution; at bounds two doubles apart it
+happens on every block. Every other array a run works in, about 3.2 MiB,
+is cut from one allocation (_Scratch): the tile's draws, the screen's and
+the quantile's work, the packed conflicts, and the kernel's measures and
+keys. As separate pieces of 16 KiB-1.5 MiB they were trimmed by glibc and
+faulted in again, about 720 minor faults per 1e6-trial run; in one
+allocation a steady-state run faults none.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -157,7 +157,13 @@ class SimulationConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        lower, upper = self.bounds
+        try:
+            lower, upper = self.bounds
+        except (TypeError, ValueError):
+            lower = upper = None
+        for bound in (lower, upper):
+            if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
+                raise ConfigError(f"bounds must be two reals, got {self.bounds!r}")
         if not (0.0 <= lower < upper <= 1.0):
             raise ConfigError(
                 f"bounds must satisfy 0 <= lower < upper <= 1, got {self.bounds}"
@@ -323,55 +329,10 @@ def quadruple_density(
 # --- sampling ----------------------------------------------------------------
 
 
-def _tile_scratch(n: int) -> list[np.ndarray]:
-    """Scratch for n trials: four float arrays, then two bool arrays.
-
-    The tent quantile uses the first _QUANTILE_WORK arrays and the RR/RR*
-    screen all six; run's _Scratch holds one such layout for its tiles.
-    """
-    return [*np.empty((4, n)), *np.empty((2, n), dtype=bool)]
-
-
 def _tiles(n: int) -> Iterator[slice]:
     """Consecutive slices of at most _TILE trials covering range(n)."""
     for start in range(0, n, _TILE):
         yield slice(start, min(start + _TILE, n))
-
-
-def _open_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill out with uniform draws on the open interval (0, 1).
-
-    Exact zeros are redrawn; the mask is built only when one exists.
-    """
-    rng.random(out=out)
-    while not out.all():
-        mask = out == 0.0
-        out[mask] = rng.random(int(mask.sum()))
-    return out
-
-
-def _tiled(
-    formula: Callable,
-    out: np.ndarray,
-    *arrays: np.ndarray,
-    work: Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Write formula(*arrays) into out one _TILE at a time; out may alias an input.
-
-    formula takes out= and work= keywords and writes its result into out.
-    Each tile gets its slice of out and the leading entries of each array
-    in work, scratch of at least _TILE entries; without work, formula
-    allocates its own. formula is elementwise, so each value equals that of
-    an untiled call.
-    """
-    for tile in _tiles(out.size):
-        width = tile.stop - tile.start
-        formula(
-            *(array[tile] for array in arrays),
-            out=out[tile],
-            work=None if work is None else [row[:width] for row in work],
-        )
-    return out
 
 
 def _redraw_on_bounds(
@@ -399,22 +360,17 @@ def _redraw_on_bounds(
     return values
 
 
-def _draw_block(
-    rng: np.random.Generator,
-    n: int,
-    config: SimulationConfig,
-    out: Sequence[np.ndarray] | None = None,
-    work: Sequence[np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw n trials' (p1, p2, p3, p4) into the leading n entries of out.
+def _open_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out, non-empty, with draws on (0, 1): random()'s zeros are redrawn."""
+    rng.random(out=out)
+    return _redraw_on_bounds(out, lambda bad: rng.random(int(bad.sum())), 0.0, 1.0)
 
-    out holds four float arrays of at least n entries, and work is scratch
-    laid out as _tile_scratch's, of at least min(n, _TILE) entries; without
-    them, fresh arrays are allocated. The draws depend on neither.
-    """
-    if out is None:
-        out = np.empty((4, n))
-    p1, p2, p3, p4 = (buffer[:n] for buffer in out)
+
+def _draw_block(
+    rng: np.random.Generator, n: int, config: SimulationConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw n trials' (p1, p2, p3, p4) from rng into fresh arrays."""
+    p1, p2, p3, p4 = np.empty((4, n))
     dist = config.distribution
     if dist is not Distribution.TENT_DEPENDENT:
         for risk in (p1, p2, p3, p4):
@@ -424,10 +380,7 @@ def _draw_block(
         return p1, p2, p3, p4
     lower, upper = config.bounds
     span = upper - lower
-    quantile = partial(_tent_quantile, lower=lower, upper=upper)
-    if work is None:
-        work = np.empty((_QUANTILE_WORK, min(_TILE, n)))
-    work = work[:_QUANTILE_WORK]
+    work = np.empty((_QUANTILE_WORK, min(_TILE, n)))
 
     def control(risk: np.ndarray) -> np.ndarray:
         # lower + span * u
@@ -435,7 +388,11 @@ def _draw_block(
         return np.add(risk, lower, out=risk)
 
     def exposed(peak: np.ndarray, risk: np.ndarray) -> np.ndarray:
-        return _tiled(quantile, risk, _open_uniform(rng, risk), peak, work=work)
+        _open_uniform(rng, risk)
+        for tile in _tiles(risk.size):
+            x = risk[tile]
+            _tent_quantile(x, peak[tile], lower, upper, out=x, work=work[:, : x.size])
+        return risk
 
     # Floating rounding can park a draw exactly on a bound. A control risk
     # on L or U is no tent peak (the exposed redraw below could then spin
@@ -511,13 +468,14 @@ def _gate_conflicts(p1, p2, p3, p4, out=None, work=None):
     RR and RR* come from measures._relative_risks, which _strict_measures
     also reads, and the comparisons are those of _direction_masks, so a tie
     in either measure never conflicts. Elementwise on arrays. The flags go
-    into out, a bool array, and every step writes into out or into work,
-    laid out as _tile_scratch's; without them, fresh arrays are allocated.
+    into out, a bool array, and every step writes into out or into work:
+    four float arrays, then two bool arrays, all of p1's shape. Without
+    them, fresh arrays are allocated.
     """
     if out is None:
         out = np.empty(p1.shape, dtype=bool)
     if work is None:
-        work = _tile_scratch(p1.size)
+        work = [*np.empty((4, *p1.shape)), *np.empty((2, *p1.shape), dtype=bool)]
     rr_p, star_p, rr_q, star_q, flag, other = work
     _relative_risks(p1, p2, out=(rr_p, star_p))
     _relative_risks(p3, p4, out=(rr_q, star_q))
@@ -543,8 +501,8 @@ def _draw_tile(
     so each value is _draw_block's, unless _draw_block would redraw one of
     the block's values: a uniform 0.0, a control risk on a bound, or an
     exposed risk on 0 or 1. Returns False when the tile holds such a value.
-    work is scratch for the tent quantile, laid out as _tile_scratch's, of
-    at least the tile's size.
+    work's first _QUANTILE_WORK arrays, float arrays of at least the tile's
+    size, are the tent quantile's scratch.
     """
     for lane, risk in zip(lanes, out):
         if not lane.random(out=risk).all():
@@ -574,8 +532,8 @@ class _Scratch:
     """Every array a run works in, cut from one allocation, for tiles of n trials.
 
     draws       the four risks of a tile
-    screen      _gate_conflicts' work, laid out as _tile_scratch's; the
-                tent quantile uses its first _QUANTILE_WORK arrays
+    screen      _gate_conflicts' work, four float arrays then two bool
+                arrays; the tent quantile uses its first _QUANTILE_WORK
     gate        the screen's flags
     packed      the four risks of up to n conflicts awaiting the kernel
     keys, kernel  _direction_masks' out and work
@@ -589,9 +547,7 @@ class _Scratch:
         self.gate = flags[2].view(bool)
         self.packed = list(rows[8:12])
         self.keys = rows[-2].view(np.intp)
-        self.kernel = [
-            *rows[12 : 12 + _KERNEL_FLOATS], flags[3].view(bool), *flags[4:7]
-        ]
+        self.kernel = [*rows[12:-2], flags[3].view(bool), *flags[4:7]]
 
 
 class _BlockHistogram:
@@ -652,7 +608,8 @@ def _block_counts(
     Streams the block tile by tile: lanes are set to the places of p1..p4
     in the block's stream, and rng then moves past the block. When a tile
     shows a value that _draw_block redraws, the block's counts so far are
-    dropped and _drawn_block_counts draws the block whole.
+    dropped and the block is drawn whole through _draw_block, into arrays
+    allocated only then.
     """
     # where p1, p2, p3, p4 start in the block's stream, in units of n:
     # _draw_block draws them in turn, or p1, p3, p2, p4 for tent
@@ -666,17 +623,12 @@ def _block_counts(
     for tile in _tiles(n):
         draws = [row[: tile.stop - tile.start] for row in scratch.draws]
         if not _draw_tile(lanes, config, draws, scratch.screen):
-            return _drawn_block_counts(rng, n, config, scratch)
+            break
         hist.add(draws)
-    rng.bit_generator.advance(4 * n)
-    return hist.flush()
-
-
-def _drawn_block_counts(
-    rng: np.random.Generator, n: int, config: SimulationConfig, scratch: _Scratch
-) -> np.ndarray:
-    """_block_counts through _draw_block, into arrays allocated only here."""
-    block = _draw_block(rng, n, config, work=scratch.screen)
+    else:
+        rng.bit_generator.advance(4 * n)
+        return hist.flush()
+    block = _draw_block(rng, n, config)
     hist = _BlockHistogram(scratch)
     for tile in _tiles(n):
         hist.add([risk[tile] for risk in block])

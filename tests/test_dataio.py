@@ -230,6 +230,20 @@ def test_load_strata_explicit_format_overrides_suffix(tmp_path):
         load_strata(path, format="yaml")
 
 
+@pytest.mark.parametrize(
+    "format, text, kind",
+    [("csv", RISKS_CSV, StratifiedRisks), ("json", COUNTS_JSON, CountTable)],
+    ids=["csv", "json"],
+)
+def test_load_strata_skips_a_utf8_byte_order_mark(tmp_path, format, text, kind):
+    # Excel's "CSV UTF-8" and PowerShell start their files with one
+    path = tmp_path / f"bom.{format}"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    loaded = load_strata(path)
+    assert isinstance(loaded, kind)
+    assert loaded == parse_strata_text(text, format)
+
+
 def test_load_strata_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_strata(tmp_path / "absent.csv")

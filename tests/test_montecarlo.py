@@ -3,7 +3,6 @@
 import json
 import math
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -27,15 +26,16 @@ from concord.montecarlo import (
     Distribution,
     SimulationConfig,
     SimulationResult,
+    _BlockHistogram,
     _counts_from_histogram,
     _direction_masks,
     _draw_block,
+    _draw_tile,
     _gate_conflicts,
     _open_uniform,
     _redraw_on_bounds,
+    _Scratch,
     _tent_quantile,
-    _tile_scratch,
-    _tiled,
     quadruple_density,
     run,
     subset_mask,
@@ -298,8 +298,10 @@ def test_tiled_gate_matches_untiled_reference(n):
     p3[1::5], p4[1::5] = 0.5 * p1[1::5], 0.5 * p2[1::5]
     expected = _untiled_gate(p1, p2, p3, p4)
     assert np.array_equal(_gate_conflicts(p1, p2, p3, p4), expected)
-    out = np.ones(n, dtype=bool)
-    assert _tiled(_gate_conflicts, out, p1, p2, p3, p4) is out
+    scratch = _Scratch(n)  # run's layout, for tiles of n trials
+    scratch.gate.fill(True)
+    out = _gate_conflicts(p1, p2, p3, p4, out=scratch.gate, work=scratch.screen)
+    assert out is scratch.gate
     assert np.array_equal(out, expected)
 
 
@@ -312,9 +314,9 @@ def test_tiled_tent_quantile_matches_untiled_reference(n, lower, upper):
     u = rng.random(n)
     u[::7] = (peak[::7] - lower) / span  # on the branch threshold
     expected = _untiled_tent_ppf(u, peak, lower, upper)
-    quantile = partial(_tent_quantile, lower=lower, upper=upper)
-    assert np.array_equal(_tiled(quantile, np.empty(n), u, peak), expected)
-    assert _tiled(quantile, u, u, peak) is u
+    assert np.array_equal(_tent_quantile(u, peak, lower, upper), expected)
+    work = np.empty((_QUANTILE_WORK, n))
+    assert _tent_quantile(u, peak, lower, upper, out=u, work=work) is u
     assert np.array_equal(u, expected)
 
 
@@ -362,50 +364,40 @@ def test_blended_tent_quantile_is_the_where_quantile(bounds, t, u):
         threshold = (peak - lower) / (upper - lower)
         u = min(1.0, max(0.0, threshold + u * math.ulp(threshold)))
     expected = _untiled_tent_ppf(np.array([u]), np.array([peak]), lower, upper)
-    quantile = partial(_tent_quantile, lower=lower, upper=upper)
     scalar = np.array([tent_inverse_cdf(u, peak, bounds)])
     work = np.empty((_QUANTILE_WORK, 1))
-    tiled = _tiled(quantile, np.empty(1), np.array([u]), np.array([peak]), work=work)
-    for got in (scalar, tiled):
+    array = _tent_quantile(
+        np.array([u]), np.array([peak]), lower, upper, out=np.empty(1), work=work
+    )
+    for got in (scalar, array):
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
-@pytest.mark.parametrize("dist, bounds", DRAW_MODELS)
-def test_draw_block_into_reused_buffers_matches_fresh_arrays(dist, bounds):
-    cfg = SimulationConfig(trials=1, distribution=dist, bounds=bounds)
-    fresh_rng, reused_rng = np.random.default_rng(6), np.random.default_rng(6)
-    buffers = np.full((4, _BLOCK + 3), np.nan)
-    work = _tile_scratch(_TILE)
-    for n in (_BLOCK, _TILE + 1):  # a full block, then a partial one
-        fresh = _draw_block(fresh_rng, n, cfg)
-        reused = _draw_block(reused_rng, n, cfg, out=buffers, work=work)
-        for a, b, buffer in zip(fresh, reused, buffers):
-            assert np.array_equal(a, b)
-            assert np.shares_memory(b, buffer)
-    assert fresh_rng.random() == reused_rng.random()
+@pytest.mark.parametrize("dist", list(Distribution))
+def test_tiles_allocate_no_tile_temporaries(dist):
+    # run() draws, screens and counts every tile in one _Scratch; a float
+    # temporary of one tile would be 8 * _TILE bytes. What is left is the
+    # histogram, the conflicts' indices and the kernel's bincount.
+    cfg = SimulationConfig(trials=1, distribution=dist)
+    lanes = [np.random.default_rng(lane) for lane in range(4)]
+    scratch = _Scratch(_TILE)
 
+    def three_tiles():
+        hist = _BlockHistogram(scratch)
+        for _ in range(3):
+            assert _draw_tile(lanes, cfg, scratch.draws, scratch.screen)
+            hist.add(scratch.draws)
+        hist.flush()
 
-def test_tent_block_and_screen_allocate_no_tile_temporaries():
-    # A float temporary of one tile is 8 * _TILE bytes. Drawing a tent block
-    # allocates the quantile's tile scratch when it is not handed one, and
-    # nothing else; the slack of 2 * _TILE bytes covers numpy's casting
-    # buffer of 8,192 elements.
-    cfg = SimulationConfig(trials=1, distribution=Distribution.TENT_DEPENDENT)
-    buffers, gate = np.empty((4, _BLOCK)), np.empty(_BLOCK, dtype=bool)
-    work = _tile_scratch(_TILE)
-    draw = partial(_draw_block, np.random.default_rng(8), _BLOCK, cfg, out=buffers)
-    screen = partial(_tiled, _gate_conflicts, gate, *buffers, work=work)
-    draw(), screen()  # warm-up
-    calls = [(draw, _QUANTILE_WORK * 8 * _TILE), (partial(draw, work=work), 0), (screen, 0)]
-    for call, scratch in calls:
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < scratch + 2 * _TILE
+    three_tiles()  # warm-up
+    tracemalloc.start()
+    try:
+        three_tiles()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _TILE
 
 
 @pytest.mark.parametrize(
@@ -486,6 +478,13 @@ def test_config_validation():
     SimulationConfig(
         trials=10, distribution=Distribution.TENT_DEPENDENT, bounds=(0.0, 1e-130)
     )
+    tent = Distribution.TENT_DEPENDENT
+    for bounds in [(0.0, 1.0, 2.0), (0.2,), None, ("0.2", "0.8"), (0.2 + 0j, 0.8)]:
+        with pytest.raises(ConfigError, match="two reals"):
+            SimulationConfig(trials=10, distribution=tent, bounds=bounds)
+    with pytest.raises(ConfigError, match="two reals"):
+        SimulationConfig(trials=10, distribution=tent, bounds=(False, True))
+    SimulationConfig(trials=10, distribution=tent, bounds=[np.float64(0.2), 0.8])
 
 
 def test_subset_mask_values():
@@ -563,7 +562,9 @@ TWO_ULP_BOUNDS = (0.5, 0.5000000000000002)
 @pytest.mark.parametrize(
     "dist, bounds", [*DRAW_MODELS, (Distribution.TENT_DEPENDENT, TWO_ULP_BOUNDS)]
 )
-@pytest.mark.parametrize("seed, trials", [(3, _BLOCK + 7), (0, 1), (1, 1)])
+@pytest.mark.parametrize(
+    "seed, trials", [(3, _BLOCK + 7), (2, 3 * _TILE + 5), (0, 1), (1, 1)]
+)
 def test_screened_counts_equal_unscreened_counts(dist, bounds, seed, trials):
     # with one trial, seed 0 draws an RR/RR* conflict and seed 1 does not
     cfg = SimulationConfig(trials=trials, seed=seed, distribution=dist, bounds=bounds)
@@ -592,18 +593,18 @@ def test_redrawn_block_keeps_the_seeded_counts(dist, monkeypatch):
     # sixth tile of the first block is made to report one.
     calls, redrawn = [], []
     draw_tile = montecarlo._draw_tile
-    drawn_block_counts = montecarlo._drawn_block_counts
+    draw_block = montecarlo._draw_block
 
     def draw_tile_once_off_stream(*args):
         calls.append(None)
         return draw_tile(*args) and len(calls) != 6
 
-    def counting_drawn_block_counts(rng, n, *args):
+    def counting_draw_block(rng, n, config):
         redrawn.append(n)
-        return drawn_block_counts(rng, n, *args)
+        return draw_block(rng, n, config)
 
     monkeypatch.setattr(montecarlo, "_draw_tile", draw_tile_once_off_stream)
-    monkeypatch.setattr(montecarlo, "_drawn_block_counts", counting_drawn_block_counts)
+    monkeypatch.setattr(montecarlo, "_draw_block", counting_draw_block)
     result = run(SimulationConfig(trials=300_000, seed=7, distribution=dist))
     assert redrawn == [_BLOCK]
     assert result.counts == GOLDEN_COUNTS[dist]
@@ -629,7 +630,10 @@ def test_strict_measures_through_out_match_fresh_arrays():
     a, b = rng.random((2, 4096))
     a[:3], b[:3] = [5e-324, 1e-300, 1 - 2**-53], [1e-300, 5e-324, 0.5]
     out = list(np.full((6, 4096), np.nan))
-    fresh = _strict_measures(a, b, np.log, np.log1p)
+    # the scalar formulas on arrays: RR, RR*, HR, HR*, RD, OR = RR * RR*
+    rr, rr_star = b / a, (1.0 - a) / (1.0 - b)
+    hr, hr_star = np.log1p(-b) / np.log1p(-a), np.log(a) / np.log(b)
+    fresh = (rr, rr_star, hr, hr_star, b - a, rr * rr_star)
     through_out = _strict_measures(a, b, out=out)
     for got, expected, row in zip(through_out, fresh, out):
         assert got is row
