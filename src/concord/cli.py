@@ -13,8 +13,9 @@ Subcommands:
 
 Every subcommand emits one JSON report envelope. stdout is rounded per
 --digits (default 4); --out writes the full-precision envelope to a file
-instead. Exit codes: 0 success, 1 input/usage error, 2 computation error
-(an undefined measure limit or a degenerate count cell).
+instead, with its provenance (simulate's stream_layout). Exit codes: 0
+success, 1 input/usage error, 2 computation error (an undefined measure
+limit or a degenerate count cell).
 
 The --seed default can be supplied via the CONCORD_SEED environment
 variable; an explicit --seed always wins.
@@ -424,7 +425,13 @@ def _cmd_window(args: argparse.Namespace) -> ReportEnvelope:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> ReportEnvelope:
-    from .montecarlo import Distribution, SimulationConfig, run, venn_json_rows
+    from .montecarlo import (
+        STREAM_LAYOUT,
+        Distribution,
+        SimulationConfig,
+        run,
+        venn_json_rows,
+    )
 
     seed = _effective_seed(args.seed)
     config = SimulationConfig(
@@ -452,6 +459,7 @@ def _cmd_simulate(args: argparse.Namespace) -> ReportEnvelope:
         },
         results=results,
         seed=seed,
+        provenance={"stream_layout": STREAM_LAYOUT},
     )
 
 

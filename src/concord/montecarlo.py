@@ -123,6 +123,10 @@ __all__ = [
     "venn_json_rows",
 ]
 
+# The version of the map from (seed, trials, distribution, bounds) to the
+# draws, as written in simulate's full-precision report. A change that gives
+# a seed other draws bumps it; the same layout gives the same counts.
+STREAM_LAYOUT = 1
 _BLOCK = 1 << 18  # trials per vectorized block, bounds peak memory
 _TILE = 1 << 14  # trials per tile: a float temporary is 128 KiB, within L2
 _N_SUBSETS = 64

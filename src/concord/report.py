@@ -2,6 +2,9 @@
 
 An envelope records the command that ran, its effective inputs, the
 results, the tool version, and the seed when randomness was involved.
+A command may add provenance, facts about how the results were made (for
+simulate, the stream_layout that maps a seed to its draws); only the
+full-precision serialization carries it.
 Serialization is plain JSON with one extension: IEEE infinities are
 written as the bare literals `Infinity` / `-Infinity` (the json module's
 default), which parse back exactly, so a full-precision envelope
@@ -56,24 +59,33 @@ class ReportEnvelope:
     results: dict
     version: str = VERSION
     seed: Optional[int] = None
+    provenance: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", _normalize(self.inputs, "inputs"))
-        object.__setattr__(self, "results", _normalize(self.results, "results"))
+        for name in ("inputs", "results", "provenance"):
+            object.__setattr__(self, name, _normalize(getattr(self, name), name))
 
     def to_payload(self) -> dict:
-        return {
+        payload = {
             "command": self.command,
             "version": self.version,
             "seed": self.seed,
             "inputs": self.inputs,
             "results": self.results,
         }
+        if self.provenance is not None:
+            payload["provenance"] = self.provenance
+        return payload
 
     def to_json(self, digits: Optional[int] = None) -> str:
-        """Serialize with indent 2; digits rounds floats, None keeps full precision."""
+        """Serialize with indent 2.
+
+        digits rounds floats for reading and leaves the provenance out; None
+        keeps full precision and the provenance.
+        """
         payload = self.to_payload()
         if digits is not None:
+            payload.pop("provenance", None)
             payload = _round_floats(payload, digits)
         return json.dumps(payload, indent=2, allow_nan=True)
 
@@ -96,4 +108,5 @@ class ReportEnvelope:
             results=payload["results"],
             version=payload["version"],
             seed=payload.get("seed"),
+            provenance=payload.get("provenance"),
         )

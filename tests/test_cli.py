@@ -389,6 +389,19 @@ def test_out_writes_full_precision(capsys, tmp_path):
     assert envelope.results["strata"]["P"]["measures"]["RR"] == 0.9 / 0.7
 
 
+def test_simulate_out_carries_the_stream_layout(capsys, tmp_path):
+    from concord.montecarlo import STREAM_LAYOUT
+
+    args = ("simulate", "--trials", "1000", "--seed", "3")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and "provenance" not in json.loads(out)  # stdout as before
+    out_path = tmp_path / "simulate.json"
+    assert main([*args, "--out", str(out_path)]) == 0
+    envelope = ReportEnvelope.from_json(out_path.read_text())
+    assert envelope.provenance == {"stream_layout": STREAM_LAYOUT}
+    assert ReportEnvelope.from_json(envelope.to_json()) == envelope
+
+
 def test_version_and_help_exit_0(capsys):
     assert main(["--version"]) == 0
     assert main(["--help"]) == 0

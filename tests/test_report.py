@@ -43,6 +43,16 @@ def test_round_trip():
     assert again.to_payload() == env.to_payload()
 
 
+def test_provenance_round_trips_only_at_full_precision():
+    env = make_envelope(provenance={"stream_layout": 2})
+    again = ReportEnvelope.from_json(env.to_json())
+    assert again.provenance == {"stream_layout": 2}
+    assert again.to_payload() == env.to_payload()
+    assert "provenance" not in json.loads(env.to_json(digits=4))
+    assert "provenance" not in make_envelope().to_payload()
+    assert ReportEnvelope.from_json(make_envelope().to_json()).provenance is None
+
+
 def test_seed_defaults_to_none():
     env = ReportEnvelope(command="exact", inputs={}, results={})
     assert env.seed is None
