@@ -48,40 +48,35 @@ falls left of the peak is random, so np.where's per-element branch
 mispredicts, and on a 16K tile it took 70-80 us against 15 us for a sorted
 mask. The blend is bit for bit the np.where value (see _tent_quantile).
 
-Reproducibility: all trials come from one PCG64 generator, seeded with the
-first child that SeedSequence(seed) spawns, and are drawn in blocks of
-_BLOCK trials (the last block may be shorter). _draw_block defines the
-stream; the counts are therefore a function of (seed, trials,
-distribution, bounds) alone, bit-identical from run to run. Each uniform
-draw takes exactly one 64-bit output of the generator, so a block of n
-trials takes 4n outputs: n for each of p1, p2, p3, p4 in turn, or p1, p3,
-p2, p4 for tent. The exception is a value that _draw_block redraws (a
-uniform 0.0, a tent control risk on a bound, an exposed risk on 0 or 1):
-the redraws take the outputs right after that risk's n, and the later
-risks of the block move along. run streams such a block through
-_draw_block itself (see Memory).
+Reproducibility: a run reads two PCG64 generators, seeded with the two
+children that SeedSequence(seed) spawns: the main stream and the spare.
+Trials are drawn in blocks of _BLOCK trials (the last block may be
+shorter), and each uniform draw takes one 64-bit output, so a block of n
+trials takes exactly 4n outputs of the main stream: n for each of p1, p2,
+p3, p4 in turn, or p1, p3, p2, p4 for tent. A value that cannot be used (a
+uniform 0.0, a tent control risk on a bound, an exposed risk on 0 or 1) is
+replaced in place by draws from the spare, which are themselves kept
+inside (0, 1), tile by tile in the order _draw_tile gives; no other value
+moves. The counts are therefore a function of (seed, trials, distribution,
+bounds) alone, bit-identical from run to run, and STREAM_LAYOUT names this
+map. At the default bounds no block of 5 seeds x 1e6 trials per
+distribution read the spare; at bounds two doubles apart every tile does.
 
 Memory: run never holds a block. For each block it sets four copies of
-the generator, the lanes, to the places of p1, p2, p3, p4 in the block's
-stream (PCG64.advance) and draws _TILE trials at a time from them
-(_draw_tile); then it advances the generator past the block's 4n outputs.
-The RR/RR* screen runs on each tile while it is still in cache, and the
-conflicts are packed into a _TILE-trial buffer that goes through the
-kernel when the next tile's conflicts would not fit, and at the end of
-the block (_BlockHistogram). The tent quantile, the screen and the kernel
-are elementwise and the histogram is a sum, so every count equals that of
-an untiled evaluation. A tile holding a value that _draw_block would
-redraw cannot be placed from the lanes, so _block_counts drops the
-block's counts so far and draws the block through _draw_block: its four
-arrays of the block, plus one tile of quantile work for tent, are
-allocated only then. At the default bounds this never happened in 5 seeds
-of 1e6 trials for each distribution; at bounds two doubles apart it
-happens on every block. Every other array a run works in, about 3.2 MiB,
-is cut from one allocation (_Scratch): the tile's draws, the screen's and
-the quantile's work, the packed conflicts, and the kernel's measures and
-keys. As separate pieces of 16 KiB-1.5 MiB they were trimmed by glibc and
-faulted in again, about 720 minor faults per 1e6-trial run; in one
-allocation a steady-state run faults none.
+the main generator, the lanes, to the places of p1, p2, p3, p4 in the
+block's stream (PCG64.advance), moves the main generator past the block,
+and draws _TILE trials at a time from the lanes (_draw_tile). The RR/RR*
+screen runs on each tile while it is still in cache, and the conflicts are
+packed into a _TILE-trial buffer that goes through the kernel when the
+next tile's conflicts would not fit, and at the end of the block
+(_BlockHistogram). The tent quantile, the screen and the kernel are
+elementwise and the histogram is a sum, so every count equals that of an
+untiled evaluation of the same draws. Every array a run works in, about
+3.2 MiB, is cut from one allocation (_Scratch): the tile's draws, the
+screen's and the quantile's work, the packed conflicts, and the kernel's
+measures and keys. As separate pieces of 16 KiB-1.5 MiB they were trimmed
+by glibc and faulted in again, about 720 minor faults per 1e6-trial run;
+in one allocation a steady-state run faults none.
 """
 
 from __future__ import annotations
@@ -93,7 +88,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -126,15 +121,15 @@ __all__ = [
 # The version of the map from (seed, trials, distribution, bounds) to the
 # draws, as written in simulate's full-precision report. A change that gives
 # a seed other draws bumps it; the same layout gives the same counts.
-STREAM_LAYOUT = 1
+STREAM_LAYOUT = 2
 _BLOCK = 1 << 18  # trials per vectorized block, bounds peak memory
 _TILE = 1 << 14  # trials per tile: a float temporary is 128 KiB, within L2
 _N_SUBSETS = 64
 # Rounds of _redraw_on_bounds before it gives up. Each round redraws only
-# the draws still on a bound. At the narrowest valid bounds, with a single
-# double between them, about half the draws land on a bound and a
-# 2^18-trial block took up to 20 rounds; 64 rounds fail with a probability
-# of about 2^18 * 2^-64 per block.
+# the values still on a bound, and redraws run per tile of 2^14 values. At
+# the narrowest valid bounds, with a single double between them, about half
+# the draws land on a bound, so each round halves a tile's bad values; 64
+# rounds fail with a probability of about 2^14 * 2^-64 per tile.
 _REDRAW_ROUNDS = 64
 _FULL_MASK = 63
 
@@ -364,55 +359,13 @@ def _redraw_on_bounds(
     return values
 
 
-def _open_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill out, non-empty, with draws on (0, 1): random()'s zeros are redrawn."""
-    rng.random(out=out)
-    return _redraw_on_bounds(out, lambda bad: rng.random(int(bad.sum())), 0.0, 1.0)
+def _spare_draws(spare: np.random.Generator, bad: np.ndarray) -> np.ndarray:
+    """One draw on (0, 1) from spare for each True in bad; zeros are redrawn."""
 
+    def draws(mask: np.ndarray) -> np.ndarray:
+        return spare.random(int(mask.sum()))
 
-def _draw_block(
-    rng: np.random.Generator, n: int, config: SimulationConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw n trials' (p1, p2, p3, p4) from rng into fresh arrays."""
-    p1, p2, p3, p4 = np.empty((4, n))
-    dist = config.distribution
-    if dist is not Distribution.TENT_DEPENDENT:
-        for risk in (p1, p2, p3, p4):
-            _open_uniform(rng, risk)
-            if dist is Distribution.UNIFORM_RARE:
-                np.multiply(risk, 0.1, out=risk)
-        return p1, p2, p3, p4
-    lower, upper = config.bounds
-    span = upper - lower
-    work = np.empty((_QUANTILE_WORK, min(_TILE, n)))
-
-    def control(risk: np.ndarray) -> np.ndarray:
-        # lower + span * u
-        np.multiply(_open_uniform(rng, risk), span, out=risk)
-        return np.add(risk, lower, out=risk)
-
-    def exposed(peak: np.ndarray, risk: np.ndarray) -> np.ndarray:
-        _open_uniform(rng, risk)
-        for tile in _tiles(risk.size):
-            x = risk[tile]
-            _tent_quantile(x, peak[tile], lower, upper, out=x, work=work[:, : x.size])
-        return risk
-
-    # Floating rounding can park a draw exactly on a bound. A control risk
-    # on L or U is no tent peak (the exposed redraw below could then spin
-    # forever), and an exposed risk on 0 or 1 loses the measures' limits,
-    # so such draws are redrawn.
-    for risk in (p1, p3):
-        _redraw_on_bounds(
-            control(risk), lambda bad: control(np.empty(int(bad.sum()))), lower, upper
-        )
-    exposed(p1, p2)
-    exposed(p3, p4)
-    for risk, peak in ((p2, p1), (p4, p3)):
-        _redraw_on_bounds(
-            risk, lambda bad: exposed(peak[bad], np.empty(int(bad.sum()))), 0.0, 1.0
-        )
-    return p1, p2, p3, p4
+    return _redraw_on_bounds(draws(bad), draws, 0.0, 1.0)
 
 
 _KERNEL_FLOATS = 12  # float scratch arrays of _direction_masks, six per stratum
@@ -495,41 +448,50 @@ def _gate_conflicts(p1, p2, p3, p4, out=None, work=None):
 
 def _draw_tile(
     lanes: Sequence[np.random.Generator],
+    spare: np.random.Generator,
     config: SimulationConfig,
     out: Sequence[np.ndarray],
     work: Sequence[np.ndarray],
-) -> bool:
+) -> None:
     """Draw one tile of (p1, p2, p3, p4) into out, each risk from its own lane.
 
-    lanes[k] sits where the tile's draws of risk k lie in the block's stream,
-    so each value is _draw_block's, unless _draw_block would redraw one of
-    the block's values: a uniform 0.0, a control risk on a bound, or an
-    exposed risk on 0 or 1. Returns False when the tile holds such a value.
-    work's first _QUANTILE_WORK arrays, float arrays of at least the tile's
-    size, are the tent quantile's scratch.
+    lanes[k] sits where the tile's draws of risk k lie in the block's stream.
+    Values off their bounds are replaced in place by draws from spare, in
+    this order: the uniform 0.0s of p1, p2, p3, p4, then the tent control
+    risks p1, p3 on a bound, then the exposed risks p2, p4 on 0 or 1. work's
+    first _QUANTILE_WORK arrays, float arrays of at least the tile's size,
+    are the tent quantile's scratch.
     """
+    fresh = partial(_spare_draws, spare)
     for lane, risk in zip(lanes, out):
         if not lane.random(out=risk).all():
-            return False
+            _redraw_on_bounds(risk, fresh, 0.0, 1.0)
     dist = config.distribution
     if dist is not Distribution.TENT_DEPENDENT:
         if dist is Distribution.UNIFORM_RARE:
             for risk in out:
                 np.multiply(risk, 0.1, out=risk)
-        return True
+        return
     p1, p2, p3, p4 = out
     lower, upper = config.bounds
+
+    def control(u: np.ndarray) -> np.ndarray:  # lower + span * u
+        return np.add(np.multiply(u, upper - lower, out=u), lower, out=u)
+
+    # Floating rounding can park a draw exactly on a bound. A control risk
+    # on L or U is no tent peak, and an exposed risk on 0 or 1 loses the
+    # measures' limits, so such draws are replaced.
     for risk in (p1, p3):
-        # lower + span * u, as _draw_block's control risks
-        np.add(np.multiply(risk, upper - lower, out=risk), lower, out=risk)
-        if risk.min() <= lower or risk.max() >= upper:
-            return False
+        _redraw_on_bounds(control(risk), lambda bad: control(fresh(bad)), lower, upper)
     work = [row[: p1.size] for row in work[:_QUANTILE_WORK]]
     for risk, peak in ((p2, p1), (p4, p3)):
         _tent_quantile(risk, peak, lower, upper, out=risk, work=work)
-        if risk.min() <= 0.0 or risk.max() >= 1.0:
-            return False
-    return True
+        _redraw_on_bounds(
+            risk,
+            lambda bad: _tent_quantile(fresh(bad), peak[bad], lower, upper),
+            0.0,
+            1.0,
+        )
 
 
 class _Scratch:
@@ -602,6 +564,7 @@ class _BlockHistogram:
 
 def _block_counts(
     rng: np.random.Generator,
+    spare: np.random.Generator,
     lanes: Sequence[np.random.Generator],
     n: int,
     config: SimulationConfig,
@@ -610,38 +573,29 @@ def _block_counts(
     """Direction-key histogram of the next n trials of rng's stream.
 
     Streams the block tile by tile: lanes are set to the places of p1..p4
-    in the block's stream, and rng then moves past the block. When a tile
-    shows a value that _draw_block redraws, the block's counts so far are
-    dropped and the block is drawn whole through _draw_block, into arrays
-    allocated only then.
+    in the block's stream, and rng moves past the block's 4n outputs.
     """
-    # where p1, p2, p3, p4 start in the block's stream, in units of n:
-    # _draw_block draws them in turn, or p1, p3, p2, p4 for tent
+    # where p1, p2, p3, p4 start in the block's stream, in units of n: in
+    # turn, or p1, p3, p2, p4 for tent
     tent = config.distribution is Distribution.TENT_DEPENDENT
     places = (0, 2, 1, 3) if tent else (0, 1, 2, 3)
     state = rng.bit_generator.state
     for lane, place in zip(lanes, places):
         lane.bit_generator.state = state
         lane.bit_generator.advance(place * n)
+    rng.bit_generator.advance(4 * n)
     hist = _BlockHistogram(scratch)
     for tile in _tiles(n):
         draws = [row[: tile.stop - tile.start] for row in scratch.draws]
-        if not _draw_tile(lanes, config, draws, scratch.screen):
-            break
+        _draw_tile(lanes, spare, config, draws, scratch.screen)
         hist.add(draws)
-    else:
-        rng.bit_generator.advance(4 * n)
-        return hist.flush()
-    block = _draw_block(rng, n, config)
-    hist = _BlockHistogram(scratch)
-    for tile in _tiles(n):
-        hist.add([risk[tile] for risk in block])
     return hist.flush()
 
 
 def run(config: SimulationConfig) -> SimulationResult:
     """Run the simulation; deterministic for a fixed seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    main, spare = np.random.SeedSequence(config.seed).spawn(2)
+    rng, spare = np.random.default_rng(main), np.random.default_rng(spare)
     # each lane's state is overwritten before it draws
     lanes = [np.random.Generator(np.random.PCG64()) for _ in range(4)]
     scratch = _Scratch(min(_TILE, config.trials))
@@ -649,7 +603,7 @@ def run(config: SimulationConfig) -> SimulationResult:
     remaining = config.trials
     while remaining > 0:
         block = min(_BLOCK, remaining)
-        hist += _block_counts(rng, lanes, block, config, scratch)
+        hist += _block_counts(rng, spare, lanes, block, config, scratch)
         remaining -= block
     return SimulationResult(
         config=config, trials=config.trials, counts=_counts_from_histogram(hist)

@@ -26,16 +26,17 @@ from concord.montecarlo import (
     Distribution,
     SimulationConfig,
     SimulationResult,
+    _block_counts,
     _BlockHistogram,
     _counts_from_histogram,
     _direction_masks,
-    _draw_block,
     _draw_tile,
     _gate_conflicts,
-    _open_uniform,
     _redraw_on_bounds,
     _Scratch,
+    _spare_draws,
     _tent_quantile,
+    _tiles,
     quadruple_density,
     run,
     subset_mask,
@@ -52,6 +53,29 @@ RR_STAR = MeasureKind.RR_STAR
 
 peaks = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
 unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _draw(entropy, n, config):
+    # n trials of (p1, p2, p3, p4) through one _draw_tile, from four lanes and
+    # a spare spawned from SeedSequence(entropy)
+    *lanes, spare = map(np.random.default_rng, np.random.SeedSequence(entropy).spawn(5))
+    draws = np.empty((4, n))
+    _draw_tile(lanes, spare, config, draws, np.empty((_QUANTILE_WORK, n)))
+    return draws
+
+
+class _Emitter:
+    """Stands in for a generator: random() hands out the given values in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out[...] = self.values[: out.size]
+        self.values = self.values[out.size :]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +183,8 @@ def test_quadruple_density_hand_values():
 def test_tent_draws_match_cdf():
     # one-sample KS against the analytic CDF at a fixed peak
     n = 200_000
-    rng = np.random.default_rng(11)
     peak = 0.3
-    u = _open_uniform(rng, np.empty(n))
+    u = _draw(11, n // 4, SimulationConfig(trials=1)).ravel()  # uniform on (0, 1)
     x = np.sort(_tent_quantile(u, np.full(n, peak), 0.0, 1.0))
     left = x <= peak
     cdf = np.where(left, x**2 / peak, 1.0 - (1.0 - x) ** 2 / (1.0 - peak))
@@ -177,7 +200,7 @@ def test_tent_draws_match_cdf_at_the_smallest_spans():
     cfg = SimulationConfig(
         trials=1, distribution=Distribution.TENT_DEPENDENT, bounds=(lower, upper)
     )
-    p1, p2, p3, p4 = _draw_block(np.random.default_rng(13), 100_000, cfg)
+    p1, p2, p3, p4 = _draw(13, 100_000, cfg)
     span = upper - lower
     x = (np.concatenate([p2, p4]) - lower) / span
     peak = (np.concatenate([p1, p3]) - lower) / span
@@ -191,35 +214,34 @@ def test_tent_draws_match_cdf_at_the_smallest_spans():
 # samplers
 
 
-def test_draw_block_ranges():
-    rng = np.random.default_rng(3)
+def test_draw_tile_ranges():
     cfg = SimulationConfig(trials=1, distribution=Distribution.UNIFORM_UNIT)
-    draws = _draw_block(rng, 10_000, cfg)
+    draws = _draw([3, 0], 10_000, cfg)
     for arr in draws:
         assert np.all((arr > 0.0) & (arr < 1.0))
 
     cfg = SimulationConfig(trials=1, distribution=Distribution.UNIFORM_RARE)
-    draws = _draw_block(rng, 10_000, cfg)
+    draws = _draw([3, 1], 10_000, cfg)
     for arr in draws:
         assert np.all((arr > 0.0) & (arr <= 0.1))
 
     cfg = SimulationConfig(
         trials=1, distribution=Distribution.TENT_DEPENDENT, bounds=(0.2, 0.8)
     )
-    p1, p2, p3, p4 = _draw_block(rng, 10_000, cfg)
+    p1, p2, p3, p4 = _draw([3, 2], 10_000, cfg)
     assert np.all((p1 > 0.2) & (p1 < 0.8))
     assert np.all((p3 > 0.2) & (p3 < 0.8))
     assert np.all((p2 >= 0.2) & (p2 <= 0.8))
     assert np.all((p4 >= 0.2) & (p4 <= 0.8))
 
 
-def test_draw_block_keeps_control_risks_off_the_bounds():
+def test_draw_tile_keeps_control_risks_off_the_bounds():
     # span * u rounds onto U = 1 about once in 2000 draws at these bounds
     bounds = (0.9999999999999, 1.0)
     cfg = SimulationConfig(
         trials=1, distribution=Distribution.TENT_DEPENDENT, bounds=bounds
     )
-    p1, p2, p3, p4 = _draw_block(np.random.default_rng(0), 10_000, cfg)
+    p1, p2, p3, p4 = _draw(0, 10_000, cfg)
     for control in (p1, p3):
         assert np.all((control > bounds[0]) & (control < bounds[1]))
     for exposed in (p2, p4):
@@ -240,6 +262,82 @@ def test_redraw_gives_up_after_a_fixed_number_of_rounds():
     assert values[0] == 0.5 and values[2] == 0.25  # in-bounds draws are kept
 
 
+def test_spare_draws_redraw_their_own_zeros():
+    spare = _Emitter([0.0, 0.3, 0.0, 0.6, 0.8])
+    assert list(_spare_draws(spare, np.array([True, False, True]))) == [0.6, 0.3]
+    assert list(spare.values) == [0.8]
+
+
+def test_draw_tile_replaces_only_zeros_from_the_spare():
+    # p1's zeros take the spare's next draws first, then p2's, p3's, p4's
+    lanes = [
+        _Emitter([0.25, 0.0, 0.5]),
+        _Emitter([0.0, 0.75, 0.0]),
+        _Emitter([0.5, 0.5, 0.5]),
+        _Emitter([0.125, 0.0, 0.375]),
+    ]
+    out = np.empty((4, 3))
+    _draw_tile(lanes, np.random.default_rng(9), SimulationConfig(), out, [])
+    t = np.random.default_rng(9).random(4)
+    expected = [[0.25, t[0], 0.5], [t[1], 0.75, t[2]], [0.5] * 3, [0.125, t[3], 0.375]]
+    assert np.array_equal(out, expected)
+
+
+def _quantile(u, peak, bounds):
+    return _tent_quantile(np.array([u]), np.array([peak]), *bounds)[0]
+
+
+@pytest.mark.parametrize(
+    "bounds, u1, u2, u3, u4",
+    [
+        # p1[1] and p3[1] land on 0, and so do p2[0] and p4[2]; u3[0] is a zero
+        (
+            (0.0, 0.5),
+            [0.5, 5e-324, 0.25],
+            [5e-324, 0.5, 0.5],
+            [0.0, 5e-324, 0.5],
+            [0.5, 0.5, 5e-324],
+        ),
+        # p1[1] and p3[2] land on 1, and so do p2[2] and p4[0]; u3[1] is a zero
+        (
+            (0.9999999999999, 1.0),
+            [0.5, 1 - 2**-53, 0.99],
+            [0.5, 0.5, 0.999999],
+            [0.99, 0.0, 1 - 2**-53],
+            [0.999999, 0.5, 0.5],
+        ),
+    ],
+)
+def test_draw_tile_replaces_only_tent_values_on_a_bound(bounds, u1, u2, u3, u4):
+    # lanes emit p1, p2, p3, p4 as uniforms. The zero is replaced first, then
+    # the control risks p1, p3 on a bound, then the exposed risks p2, p4 on 0
+    # or 1, each by the spare's next draw put through that risk's transform.
+    lower, upper = bounds
+    cfg = SimulationConfig(distribution=Distribution.TENT_DEPENDENT, bounds=bounds)
+    out = np.empty((4, 3))
+    lanes = [_Emitter(u) for u in (u1, u2, u3, u4)]
+    _draw_tile(lanes, np.random.default_rng(9), cfg, out, np.empty((_QUANTILE_WORK, 3)))
+    spare = iter(np.random.default_rng(9).random(5))
+
+    def control(u):
+        return lower + (upper - lower) * u
+
+    u3 = [next(spare) if u == 0.0 else u for u in u3]
+    p1, p3 = [control(u) for u in u1], [control(u) for u in u3]
+    for p in (p1, p3):
+        for i, x in enumerate(p):
+            if not lower < x < upper:
+                p[i] = control(next(spare))
+    p2 = [_quantile(u, peak, bounds) for u, peak in zip(u2, p1)]
+    p4 = [_quantile(u, peak, bounds) for u, peak in zip(u4, p3)]
+    for p, peaks in ((p2, p1), (p4, p3)):
+        for i, x in enumerate(p):
+            if not 0.0 < x < 1.0:
+                p[i] = _quantile(next(spare), peaks[i], bounds)
+    assert next(spare, None) is None  # each planted value, and only it, was bad
+    assert np.array_equal(out, [p1, p2, p3, p4])
+
+
 # The four draw models, as (distribution, bounds).
 DRAW_MODELS = [
     (Distribution.UNIFORM_UNIT, (0.0, 1.0)),
@@ -254,9 +352,8 @@ def test_gate_flags_exactly_the_two_sided_keys(dist, bounds):
     # run() sends only the gate's conflicts through the six-measure kernel;
     # that is exact because every other trial's key has at most one side
     cfg = SimulationConfig(trials=1, distribution=dist, bounds=bounds)
-    rng = np.random.default_rng(5)
-    for _ in range(2):
-        draws = _draw_block(rng, _BLOCK, cfg)
+    for block in range(2):
+        draws = _draw([5, block], _BLOCK, cfg)
         keys = _direction_masks(*draws)
         two_sided = ((keys >> 6) != 0) & ((keys & 63) != 0)
         assert np.array_equal(_gate_conflicts(*draws), two_sided)
@@ -381,12 +478,13 @@ def test_tiles_allocate_no_tile_temporaries(dist):
     # histogram, the conflicts' indices and the kernel's bincount.
     cfg = SimulationConfig(trials=1, distribution=dist)
     lanes = [np.random.default_rng(lane) for lane in range(4)]
+    spare = np.random.default_rng(4)
     scratch = _Scratch(_TILE)
 
     def three_tiles():
         hist = _BlockHistogram(scratch)
         for _ in range(3):
-            assert _draw_tile(lanes, cfg, scratch.draws, scratch.screen)
+            _draw_tile(lanes, spare, cfg, scratch.draws, scratch.screen)
             hist.add(scratch.draws)
         hist.flush()
 
@@ -403,13 +501,24 @@ def test_tiles_allocate_no_tile_temporaries(dist):
 @pytest.mark.parametrize(
     "dist, scale", [(Distribution.UNIFORM_UNIT, 1.0), (Distribution.UNIFORM_RARE, 0.1)]
 )
-def test_uniform_draws_are_scaled_generator_output_in_order(dist, scale):
-    # p1, p2, p3, p4 each take the next n draws (no exact zero at this seed)
+def test_uniform_draws_are_scaled_generator_output_in_order(
+    dist, scale, monkeypatch
+):
+    # a block's p1, p2, p3, p4 each take the next n draws of the main stream
+    # (no exact zero at this seed), which then moves past all 4n of them
     n = _TILE + 1
-    reference = np.random.default_rng(2).random((4, n))
+    reference = np.random.default_rng(2)
+    expected = reference.random((4, n))
+    tiles = []
+    monkeypatch.setattr(
+        _BlockHistogram, "add", lambda _, draws: tiles.append(np.stack(draws))
+    )
+    rng = np.random.default_rng(2)
+    lanes = [np.random.default_rng(0) for _ in range(4)]  # states are overwritten
     cfg = SimulationConfig(trials=1, distribution=dist)
-    draws = _draw_block(np.random.default_rng(2), n, cfg)
-    assert np.array_equal(np.stack(draws), scale * reference)
+    _block_counts(rng, np.random.default_rng(3), lanes, n, cfg, _Scratch(_TILE))
+    assert np.array_equal(np.concatenate(tiles, axis=1), scale * expected)
+    assert rng.random() == reference.random()
 
 
 open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -541,21 +650,37 @@ def test_seeded_counts_are_stable_across_versions(dist):
     assert result.counts == GOLDEN_COUNTS[dist]
 
 
-def _unscreened_counts(config):
-    # run() without the gate screen: every trial through the full kernel
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    hist = np.zeros(4096, dtype=np.int64)
+def _reference_tiles(config):
+    # the tiles of (p1, p2, p3, p4) that run(config) draws, with each block's
+    # lanes read off the main stream drawn serially
+    main, spare = np.random.SeedSequence(config.seed).spawn(2)
+    rng, spare = np.random.default_rng(main), np.random.default_rng(spare)
+    # the rows of p1, p2, p3, p4 in the block's stream
+    tent = config.distribution is Distribution.TENT_DEPENDENT
+    rows = (0, 2, 1, 3) if tent else (0, 1, 2, 3)
+    work = np.empty((_QUANTILE_WORK, _TILE))
     remaining = config.trials
     while remaining > 0:
         block = min(_BLOCK, remaining)
-        keys = _direction_masks(*_draw_block(rng, block, config))
-        hist += np.bincount(keys, minlength=4096)
+        stream = rng.random((4, block))
+        lanes = [_Emitter(stream[row]) for row in rows]
+        for tile in _tiles(block):
+            draws = np.empty((4, tile.stop - tile.start))
+            _draw_tile(lanes, spare, config, draws, work)
+            yield draws
         remaining -= block
+
+
+def _unscreened_counts(config):
+    # run() without the gate screen: every trial through the full kernel
+    hist = np.zeros(4096, dtype=np.int64)
+    for draws in _reference_tiles(config):
+        hist += np.bincount(_direction_masks(*draws), minlength=4096)
     return _counts_from_histogram(hist)
 
 
-# Two doubles apart: about half the draws land on a bound, so run redraws
-# every block through _draw_block.
+# Two doubles apart: about half the draws land on a bound, so every tile
+# replaces values from the spare.
 TWO_ULP_BOUNDS = (0.5, 0.5000000000000002)
 
 
@@ -571,43 +696,83 @@ def test_screened_counts_equal_unscreened_counts(dist, bounds, seed, trials):
     assert run(cfg).counts == _unscreened_counts(cfg)
 
 
-@pytest.mark.parametrize("dist", list(Distribution))
-def test_run_allocates_no_block_sized_temporaries(dist):
-    # run() keeps four per-run block buffers (8 MiB) and works in _TILE-trial
-    # tiles; each block-sized temporary would add 2 MiB to the peak
-    cfg = SimulationConfig(trials=1_000_000, distribution=dist)
-    run(cfg)  # warm-up
-    tracemalloc.start()
-    try:
-        run(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * 2**20
+def test_run_draws_the_reference_stream_near_one(monkeypatch):
+    # Near 1 about one control draw in 2000 is replaced from the spare. The
+    # float gate screen is not exact this close to 1, so the draws are
+    # compared here, not the counts.
+    cfg = SimulationConfig(
+        trials=_BLOCK + 7,
+        seed=3,
+        distribution=Distribution.TENT_DEPENDENT,
+        bounds=(0.9999999999999, 1.0),
+    )
+    tiles, replaced = [], []
+    monkeypatch.setattr(
+        _BlockHistogram, "add", lambda _, draws: tiles.append(np.stack(draws))
+    )
+    run(cfg)
+
+    def counting_spare_draws(spare, bad):
+        replaced.append(int(bad.sum()))
+        return _spare_draws(spare, bad)
+
+    monkeypatch.setattr(montecarlo, "_spare_draws", counting_spare_draws)
+    reference = list(_reference_tiles(cfg))
+    assert sum(replaced) > 100
+    assert len(tiles) == len(reference) == 17
+    for got, expected in zip(tiles, reference):
+        assert np.array_equal(got, expected)
+
+
+class _FirstDrawZero:
+    """A lane whose next random(out=) call has its first value set to 0.0."""
+
+    def __init__(self, lane):
+        self.lane = lane
+
+    def random(self, out):
+        self.lane.random(out=out)[0] = 0.0
+        return out
+
+
+def _blocks_of_run(config, monkeypatch, force_zero):
+    # run(config)'s per-block histograms, and the first p1 of block 0's sixth
+    # tile, whose draw is made 0.0 before _draw_tile sees it if force_zero
+    blocks, tiles, first_p1 = [], [], []
+
+    def recording_block_counts(*args):
+        blocks.append(_block_counts(*args))
+        return blocks[-1]
+
+    def tile(lanes, spare, config, out, work):
+        tiles.append(None)
+        if force_zero and len(tiles) == 6:
+            lanes = [_FirstDrawZero(lanes[0]), *lanes[1:]]
+        _draw_tile(lanes, spare, config, out, work)
+        if len(tiles) == 6:
+            first_p1.append(out[0][0])
+
+    monkeypatch.setattr(montecarlo, "_block_counts", recording_block_counts)
+    monkeypatch.setattr(montecarlo, "_draw_tile", tile)
+    result = run(config)
+    return result, blocks, first_p1[0]
 
 
 @pytest.mark.parametrize("dist", list(Distribution))
-def test_redrawn_block_keeps_the_seeded_counts(dist, monkeypatch):
-    # A tile that _draw_block would redraw sends its whole block through
-    # _draw_block, after the block's earlier tiles were counted; here the
-    # sixth tile of the first block is made to report one.
-    calls, redrawn = [], []
-    draw_tile = montecarlo._draw_tile
-    draw_block = montecarlo._draw_block
-
-    def draw_tile_once_off_stream(*args):
-        calls.append(None)
-        return draw_tile(*args) and len(calls) != 6
-
-    def counting_draw_block(rng, n, config):
-        redrawn.append(n)
-        return draw_block(rng, n, config)
-
-    monkeypatch.setattr(montecarlo, "_draw_tile", draw_tile_once_off_stream)
-    monkeypatch.setattr(montecarlo, "_draw_block", counting_draw_block)
-    result = run(SimulationConfig(trials=300_000, seed=7, distribution=dist))
-    assert redrawn == [_BLOCK]
-    assert result.counts == GOLDEN_COUNTS[dist]
+def test_replaced_value_keeps_the_other_blocks_counts(dist, monkeypatch):
+    # A 0.0 forced into p1 of the sixth tile of block 0 takes the spare's
+    # next draw; the main stream does not move, so blocks 1 onward keep their
+    # counts, and each total moves by at most that one trial.
+    cfg = SimulationConfig(trials=300_000, seed=7, distribution=dist)
+    plain, plain_blocks, plain_p1 = _blocks_of_run(cfg, monkeypatch, False)
+    forced, forced_blocks, forced_p1 = _blocks_of_run(cfg, monkeypatch, True)
+    assert plain.counts == GOLDEN_COUNTS[dist]
+    assert len(forced_blocks) == 2
+    assert np.array_equal(forced_blocks[1], plain_blocks[1])
+    assert np.abs(forced_blocks[0] - plain_blocks[0]).sum() <= 2
+    assert 0.0 < forced_p1 != plain_p1
+    for got, golden in zip(forced.counts, GOLDEN_COUNTS[dist]):
+        assert abs(got - golden) <= 1
 
 
 @pytest.mark.parametrize("dist", list(Distribution))
