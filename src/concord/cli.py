@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resolution",
         type=_positive_int,
         default=256,
-        help="grid cells per axis (default 256)",
+        help="grid cells per axis, 8 to 16384 (default 256)",
     )
     _add_output_flags(exact)
 

@@ -45,7 +45,7 @@ class ConfigError(ConcordError, ValueError):
 
 
 class ResolutionError(ConfigError):
-    """A quadrature resolution is not an integer number of cells >= 8."""
+    """A quadrature resolution is not an integer from 8 to 16384 cells."""
 
 
 class DegenerateCell(ConcordError, ValueError):

@@ -303,6 +303,14 @@ def test_exact_rejects_bad_resolution(capsys):
     assert code == 1  # below the minimum grid
 
 
+@pytest.mark.parametrize("resolution", [2**14 + 1, 10**12])
+def test_exact_rejects_resolution_above_the_cap(capsys, resolution):
+    # the grid's cost grows as resolution squared; 10**12 ran out of memory
+    code, out, err = run_cli(capsys, "exact", "--resolution", str(resolution))
+    assert code == 1 and out == ""
+    assert err.startswith("error: grid scheme needs") and "<= 16384" in err
+
+
 # ---------------------------------------------------------------------------
 # test-modification
 

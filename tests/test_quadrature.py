@@ -74,7 +74,7 @@ def test_region_membership():
 
 
 def test_spec_validation():
-    for resolution in (4, 32.5, 0, math.nan, math.inf):
+    for resolution in (4, 32.5, 0, math.nan, math.inf, 2**14 + 1):
         with pytest.raises(ResolutionError, match="integer resolution >= 8"):
             region_probability(Region.A, resolution)
 
