@@ -697,7 +697,7 @@ def test_screened_counts_equal_unscreened_counts(dist, bounds, seed, trials):
 
 
 def test_run_draws_the_reference_stream_near_one(monkeypatch):
-    # Near 1 about one control draw in 2000 is replaced from the spare. The
+    # Near 1 about one control draw in 900 is replaced from the spare. The
     # float gate screen is not exact this close to 1, so the draws are
     # compared here, not the counts.
     cfg = SimulationConfig(
