@@ -612,16 +612,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if code == 0 else 1
     try:
         envelope = _DISPATCH[args.command](args)
+        if args.out:
+            Path(args.out).write_text(envelope.to_json() + "\n", encoding="utf-8")
+            return 0
     except (UndefinedMeasure, DegenerateCell) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConcordError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        Path(args.out).write_text(envelope.to_json() + "\n", encoding="utf-8")
-    else:
-        print(envelope.to_json(digits=args.digits))
+    print(envelope.to_json(digits=args.digits))
     return 0
 
 

@@ -18,6 +18,7 @@ beyond total) raise InputValidationError from the domain constructors.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 from pathlib import Path
@@ -40,8 +41,10 @@ def load_strata(
     """Parse a risks or counts file; the schema decides the return type.
 
     format is "csv" or "json"; when omitted it is inferred from the file
-    suffix. The file is UTF-8, optionally after a byte-order mark, as Excel
-    and PowerShell write. OSError propagates if the file cannot be read.
+    suffix. The file is UTF-8, optionally after a byte-order mark; another
+    encoding (such as the UTF-16 of Windows PowerShell 5's Out-File) raises
+    ParseError naming the first bad byte's offset. OSError propagates if
+    the file cannot be read.
     """
     file_path = Path(path)
     if format is None:
@@ -54,7 +57,14 @@ def load_strata(
         format = suffix
     elif format not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
-    return parse_strata_text(file_path.read_text(encoding="utf-8-sig"), format)
+    data = file_path.read_bytes()
+    body = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = len(data) - len(body) + exc.start
+        raise ParseError(f"byte {at}: 0x{data[at]:02x} is not UTF-8") from None
+    return parse_strata_text(text, format)
 
 
 def parse_strata_text(

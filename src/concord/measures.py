@@ -330,13 +330,13 @@ class DerivedMeasures:
         return {name: getattr(self, name) for name in self._ORIENTATION}
 
 
-def _require_strict(pair: RiskPair) -> tuple[float, float]:
-    if not pair.is_strict:
-        raise InputValidationError(
-            "derived measures need risks strictly inside (0, 1), got "
-            f"({pair.p_control}, {pair.p_exposed})"
-        )
-    return pair.p_control, pair.p_exposed
+def _require_strict_probs(**named: float) -> None:
+    """Raise InputValidationError unless each named risk lies inside (0, 1)."""
+    for name, value in named.items():
+        if not 0.0 < value < 1.0:  # NaN fails too
+            raise InputValidationError(
+                f"{name} must lie strictly inside (0, 1), got {value!r}"
+            )
 
 
 def grrr(pair: RiskPair) -> float:
@@ -345,7 +345,8 @@ def grrr(pair: RiskPair) -> float:
     Negative branch RR - 1 for a risk decrease, positive branch 1 - 1/RR*
     for an increase; both branches vanish at b = a.
     """
-    a, b = _require_strict(pair)
+    a, b = pair.p_control, pair.p_exposed
+    _require_strict_probs(p_control=a, p_exposed=b)
     if b < a:
         return _relative_risks(a, b)[0] - 1.0
     return (b - a) / (1.0 - a)  # 1 - 1/RR* simplified
@@ -353,7 +354,8 @@ def grrr(pair: RiskPair) -> float:
 
 def derived_measures(pair: RiskPair) -> DerivedMeasures:
     """Compute the derived-measure family for a strict pair."""
-    a, b = _require_strict(pair)
+    a, b = pair.p_control, pair.p_exposed
+    _require_strict_probs(p_control=a, p_exposed=b)
     rd = b - a
     cp_g = (b - a) / (1.0 - a)
     cp_p = (a - b) / a

@@ -119,9 +119,9 @@ def _region_inner(
     region: Region,
     p1: np.ndarray,
     p2: np.ndarray,
-    out: np.ndarray | None = None,
-    work: list[np.ndarray] | None = None,
-    mask: np.ndarray | None = None,
+    out: np.ndarray,
+    work: list[np.ndarray],
+    mask: np.ndarray,
 ) -> np.ndarray:
     """Exact integral of g over the region's p3 range for each (p1, p2).
 
@@ -130,11 +130,8 @@ def _region_inner(
     exceeds c_rr* in regions A and D and falls below it in B and C.
 
     The result goes to out, with _REGION_WORK float buffers in work and a
-    bool mask as scratch, all of the broadcast shape of p1 and p2; without
-    out (say, on scalars) they are allocated here.
+    bool mask as scratch, all of the broadcast shape of p1 and p2.
     """
-    if out is None:
-        (out, *work), mask = _scratch(np.broadcast(p1, p2).shape, 1 + _REGION_WORK)
     lo, hi = (0.0, p1) if region in (Region.C, Region.D) else (p1, 1.0)
     R = partial(_clip_antiderivative, mask=mask)
     m_rr, m_star, a, b, c = work

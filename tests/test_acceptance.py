@@ -24,6 +24,7 @@ from concord.montecarlo import (
     Distribution,
     SimulationConfig,
     _direction_masks,
+    _Scratch,
     quadruple_density,
     run,
     subset_mask,
@@ -49,7 +50,8 @@ def _seeded_direction_keys(n, seed):
     """Per-trial direction keys for n seeded uniform strata."""
     rng = np.random.default_rng(seed)
     p = rng.uniform(1e-12, 1.0, size=(4, n))
-    keys = _direction_masks(p[0], p[1], p[2], p[3])
+    scratch = _Scratch(n)
+    keys = _direction_masks(p[0], p[1], p[2], p[3], scratch.keys, scratch.kernel)
     return keys >> 6, keys & 63
 
 

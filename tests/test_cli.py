@@ -176,6 +176,23 @@ def test_agree_missing_file_exits_1(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [("agree", RISKS_CSV), ("test-modification", COUNTS_CSV)],
+    ids=["agree", "test-modification"],
+)
+@pytest.mark.parametrize("encoding", ["latin-1", "utf-16"])
+def test_in_file_that_is_not_utf8_exits_1(capsys, tmp_path, command, text, encoding):
+    # a Latin-1 byte, or the UTF-16 that Windows PowerShell 5 writes by default
+    path = tmp_path / "strata.csv"
+    path.write_bytes(text.replace("stratum", "stratum\u00e9", 1).encode(encoding))
+    code, out, err = run_cli(capsys, command, "--in", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "is not UTF-8" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # critical and window
 
@@ -395,6 +412,16 @@ def test_out_writes_full_precision(capsys, tmp_path):
     envelope = ReportEnvelope.from_json(out_path.read_text())
     assert envelope.command == "measures"
     assert envelope.results["strata"]["P"]["measures"]["RR"] == 0.9 / 0.7
+
+
+@pytest.mark.parametrize("target", ["missing-dir/report.json", "."], ids=["missing", "dir"])
+def test_out_that_cannot_be_written_exits_1(capsys, tmp_path, target):
+    args = ("critical", "--p1", "0.1", "--p2", "0.2", "--p3", "0.3")
+    code, out, err = run_cli(capsys, *args, "--out", str(tmp_path / target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_simulate_out_carries_the_stream_layout(capsys, tmp_path):

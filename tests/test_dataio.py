@@ -236,12 +236,30 @@ def test_load_strata_explicit_format_overrides_suffix(tmp_path):
     ids=["csv", "json"],
 )
 def test_load_strata_skips_a_utf8_byte_order_mark(tmp_path, format, text, kind):
-    # Excel's "CSV UTF-8" and PowerShell start their files with one
+    # Excel's "CSV UTF-8" and PowerShell's -Encoding UTF8 start their files with one
     path = tmp_path / f"bom.{format}"
     path.write_bytes(b"\xef\xbb\xbf" + text.encode())
     loaded = load_strata(path)
     assert isinstance(loaded, kind)
     assert loaded == parse_strata_text(text, format)
+
+
+@pytest.mark.parametrize(
+    "data, bad",
+    [
+        (RISKS_CSV.replace("0.075", "0.075\u00e9").encode("latin-1"), 0xE9),
+        (b"\xef\xbb\xbf" + RISKS_CSV.encode() + b"\xe9", 0xE9),
+        (RISKS_CSV.encode("utf-16"), 0xFF),  # Windows PowerShell 5's default
+    ],
+    ids=["latin-1", "after-a-byte-order-mark", "utf-16"],
+)
+def test_load_strata_rejects_bytes_that_are_not_utf8(tmp_path, data, bad):
+    # the message gives the first bad byte's offset in the file
+    path = tmp_path / "risks.csv"
+    path.write_bytes(data)
+    where = f"byte {data.index(bad)}: 0x{bad:02x}"
+    with pytest.raises(ParseError, match=f"^{where} is not UTF-8"):
+        load_strata(path)
 
 
 def test_load_strata_missing_file(tmp_path):

@@ -64,6 +64,18 @@ def _draw(entropy, n, config):
     return draws
 
 
+def _kernel_keys(*risks):
+    # the six-measure kernel's keys, in the buffers run gives it
+    scratch = _Scratch(risks[0].size)
+    return _direction_masks(*risks, out=scratch.keys, work=scratch.kernel)
+
+
+def _screen(*risks):
+    # the RR/RR* screen's flags, in the buffers run gives it
+    scratch = _Scratch(risks[0].size)
+    return _gate_conflicts(*risks, out=scratch.gate, work=scratch.screen)
+
+
 class _Emitter:
     """Stands in for a generator: random() hands out the given values in order."""
 
@@ -354,9 +366,9 @@ def test_gate_flags_exactly_the_two_sided_keys(dist, bounds):
     cfg = SimulationConfig(trials=1, distribution=dist, bounds=bounds)
     for block in range(2):
         draws = _draw([5, block], _BLOCK, cfg)
-        keys = _direction_masks(*draws)
+        keys = _kernel_keys(*draws)
         two_sided = ((keys >> 6) != 0) & ((keys & 63) != 0)
-        assert np.array_equal(_gate_conflicts(*draws), two_sided)
+        assert np.array_equal(_screen(*draws), two_sided)
 
 
 def test_gate_tie_never_conflicts():
@@ -365,7 +377,7 @@ def test_gate_tie_never_conflicts():
     p1, p2 = np.array([0.2, 0.3]), np.array([0.4, 0.6])
     p3, p4 = np.array([0.3, 0.3]), np.array([0.6, 0.6])
     assert p2[0] / p1[0] == p4[0] / p3[0]
-    assert not _gate_conflicts(p1, p2, p3, p4).any()
+    assert not _screen(p1, p2, p3, p4).any()
 
 
 # Sizes around the tile edges: one trial, a tile less one, one tile, one
@@ -394,7 +406,6 @@ def test_tiled_gate_matches_untiled_reference(n):
     p3[::5], p4[::5] = p1[::5], p2[::5]
     p3[1::5], p4[1::5] = 0.5 * p1[1::5], 0.5 * p2[1::5]
     expected = _untiled_gate(p1, p2, p3, p4)
-    assert np.array_equal(_gate_conflicts(p1, p2, p3, p4), expected)
     scratch = _Scratch(n)  # run's layout, for tiles of n trials
     scratch.gate.fill(True)
     out = _gate_conflicts(p1, p2, p3, p4, out=scratch.gate, work=scratch.screen)
@@ -539,8 +550,8 @@ def test_direction_keys_match_agree_outside_the_tie_band(p1, p2, p3, p4, near_ti
         p4 = c + steps * math.ulp(c)
         assume(0.0 < p4 < 1.0)
     with np.errstate(all="ignore"):
-        key = int(_direction_masks(*(np.array([p]) for p in (p1, p2, p3, p4)))[0])
-        twin = int(_direction_masks(*(np.array([p]) for p in (p1, p2, p1, p2)))[0])
+        key = int(_kernel_keys(*(np.array([p]) for p in (p1, p2, p3, p4)))[0])
+        twin = int(_kernel_keys(*(np.array([p]) for p in (p1, p2, p1, p2)))[0])
     assert twin == 0  # identical strata tie exactly on every measure
     report = agree(StratifiedRisks.from_probs(p1, p2, p3, p4))
     em_p = measure_vector(RiskPair(p1, p2))
@@ -675,7 +686,7 @@ def _unscreened_counts(config):
     # run() without the gate screen: every trial through the full kernel
     hist = np.zeros(4096, dtype=np.int64)
     for draws in _reference_tiles(config):
-        hist += np.bincount(_direction_masks(*draws), minlength=4096)
+        hist += np.bincount(_kernel_keys(*draws), minlength=4096)
     return _counts_from_histogram(hist)
 
 
@@ -684,12 +695,29 @@ def _unscreened_counts(config):
 TWO_ULP_BOUNDS = (0.5, 0.5000000000000002)
 
 
-@pytest.mark.parametrize(
-    "dist, bounds", [*DRAW_MODELS, (Distribution.TENT_DEPENDENT, TWO_ULP_BOUNDS)]
-)
-@pytest.mark.parametrize(
-    "seed, trials", [(3, _BLOCK + 7), (2, 3 * _TILE + 5), (0, 1), (1, 1)]
-)
+SCREENED_RUNS = [
+    *(
+        pytest.param(dist, bounds, seed, trials, id=f"{seed}-{trials}-{dist}-bounds{i}")
+        for seed, trials in [(3, _BLOCK + 7), (2, 3 * _TILE + 5), (0, 1), (1, 1)]
+        for i, (dist, bounds) in enumerate(
+            [*DRAW_MODELS, (Distribution.TENT_DEPENDENT, TWO_ULP_BOUNDS)]
+        )
+    ),
+    # 30 of the 64 counts differ: a float RR ties exactly while RD and RR*
+    # split, and the screen counts that trial at key 0
+    pytest.param(
+        Distribution.TENT_DEPENDENT, (0.9999999999999, 1.0), 2, 3 * _TILE + 5,
+        id="2-49157-Distribution.TENT_DEPENDENT-near-one",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="the RR/RR* screen is not exact near 1 (CHANGES.md FOUND, "
+            "ROADMAP items 1 and 7)",
+        ),
+    ),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("dist, bounds, seed, trials", SCREENED_RUNS)
 def test_screened_counts_equal_unscreened_counts(dist, bounds, seed, trials):
     # with one trial, seed 0 draws an RR/RR* conflict and seed 1 does not
     cfg = SimulationConfig(trials=trials, seed=seed, distribution=dist, bounds=bounds)

@@ -166,7 +166,8 @@ def test_inner_integral_matches_a_fine_midpoint_sum(region, a, b):
     p3 = start + width * (np.arange(REFERENCE_POINTS) + 0.5) / REFERENCE_POINTS
     # midpoint error per kink is at most h^2/8 times the slope jump (<= 99)
     reference = width * float(_integrand_array(p1, p2, p3).mean())
-    exact = float(quadrature._region_inner(region, np.float64(p1), np.float64(p2)))
+    (out, *work), mask = quadrature._scratch((), 1 + quadrature._REGION_WORK)
+    exact = float(quadrature._region_inner(region, p1, p2, out, work, mask))
     assert exact == pytest.approx(reference, abs=1e-9)
     assert integrand(p1, p2, p3[0]) == _integrand_array(p1, p2, p3[0])
     if region is Region.A:
