@@ -146,39 +146,32 @@ def modification_direction(strata: StratifiedRisks, kind: MeasureKind) -> Direct
     return _directions(strata)[kind.bit]
 
 
-_RR_GATE_MASK = subset_mask((MeasureKind.RR, MeasureKind.RR_STAR))
-_ALL_SIX_MASK = subset_mask(ALL_KINDS)
-
-
 @dataclass(frozen=True)
 class AgreementReport:
     """Full agreement analysis of one pair of strata.
 
     directions maps every kind to its Direction; subset_verdicts holds
-    each verdict once, indexed by bitmask (bit i = ALL_KINDS[i]), and
-    agrees, rr_gate_fired, pair_agrees and subset_agrees read it.
+    each verdict once, indexed by bitmask (bit i = ALL_KINDS[i]); agrees is
+    the verdict for all six measures, and pair_agrees and subset_agrees
+    read the verdict for any pair or subset.
     """
 
     strata: StratifiedRisks
     directions: Mapping[MeasureKind, Direction]
     subset_verdicts: tuple[bool, ...]
+    agrees: bool
+    rr_gate_fired: bool
     fired_conditions: tuple["FiredCondition", ...]
-
-    @property
-    def agrees(self) -> bool:
-        """The verdict for all six measures."""
-        return self.subset_verdicts[_ALL_SIX_MASK]
-
-    @property
-    def rr_gate_fired(self) -> bool:
-        """The verdict for the pair RR, RR*: what rr_gate gives."""
-        return self.subset_verdicts[_RR_GATE_MASK]
 
     def pair_agrees(self, kind_a: MeasureKind, kind_b: MeasureKind) -> bool:
         return self.subset_verdicts[(1 << kind_a.bit) | (1 << kind_b.bit)]
 
     def subset_agrees(self, kinds: Iterable[MeasureKind]) -> bool:
         return self.subset_verdicts[subset_mask(kinds)]
+
+
+_RR_GATE_MASK = subset_mask((MeasureKind.RR, MeasureKind.RR_STAR))
+_ALL_SIX_MASK = subset_mask(ALL_KINDS)
 
 
 def agree(strata: StratifiedRisks) -> AgreementReport:
@@ -192,6 +185,8 @@ def agree(strata: StratifiedRisks) -> AgreementReport:
         strata=strata,
         directions=directions,
         subset_verdicts=verdicts,
+        agrees=verdicts[_ALL_SIX_MASK],
+        rr_gate_fired=verdicts[_RR_GATE_MASK],
         fired_conditions=fired,
     )
 

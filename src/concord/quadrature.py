@@ -154,9 +154,9 @@ def _part_inner(
     part: int,
     p1: np.ndarray,
     p2: np.ndarray,
-    out: np.ndarray | None = None,
-    work: list[np.ndarray] | None = None,
-    mask: np.ndarray | None = None,
+    out: np.ndarray,
+    work: list[np.ndarray],
+    mask: np.ndarray,
 ) -> np.ndarray:
     """Exact inner p3 integral of one piece of the region-A decomposition.
 
@@ -168,8 +168,8 @@ def _part_inner(
         part 2: p3 in (p1/p2, 1), integrand 1                  -> 1/4
         part 3: p3 in (p1, 1), integrand c_rr* (subtracted)    -> 13/48
 
-    The result goes to out, or to a new value without it; work and mask
-    are unused, and accepted so that _grid_sum calls every inner alike.
+    The result goes to out; work and mask are unused, and accepted so
+    that _grid_sum calls every inner alike.
     """
     if part == 1:
         # 0.5 * p1 * (1/p2 - p2)

@@ -1,6 +1,7 @@
 """Tests for the six effect measures and the derived-measure layer."""
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -201,9 +202,17 @@ def test_derived_hand_checked():
     assert d.grrr == pytest.approx(0.125)
 
 
-def test_derived_requires_strict_pair():
-    with pytest.raises(InputValidationError):
-        derived_measures(RiskPair(0.0, 0.5))
+@pytest.mark.parametrize("compute", [derived_measures, grrr])
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (RiskPair(0.0, 0.5), "p_control must lie strictly inside (0, 1), got 0.0"),
+        (RiskPair(0.5, 1.0), "p_exposed must lie strictly inside (0, 1), got 1.0"),
+    ],
+)
+def test_derived_requires_strict_pair(compute, pair, message):
+    with pytest.raises(InputValidationError, match=re.escape(message)):
+        compute(pair)
 
 
 def test_nnt_at_null_is_infinite():

@@ -171,7 +171,9 @@ def test_inner_integral_matches_a_fine_midpoint_sum(region, a, b):
     assert exact == pytest.approx(reference, abs=1e-9)
     assert integrand(p1, p2, p3[0]) == _integrand_array(p1, p2, p3[0])
     if region is Region.A:
-        parts = [float(quadrature._part_inner(k, p1, p2)) for k in (1, 2, 3)]
+        parts = [
+            float(quadrature._part_inner(k, p1, p2, out, work, mask)) for k in (1, 2, 3)
+        ]
         assert parts[0] + parts[1] - parts[2] == pytest.approx(exact, abs=1e-14)
 
 
