@@ -20,16 +20,34 @@ min{1, c_rr} resolved on either side of the surface p3 = p1/p2).
 Numerics: the p3 integral is done exactly and only the (p1, p2) box is
 summed numerically. For fixed (p1, p2) both critical values are linear in
 p3 with positive slope, and inside a region they never cross (they meet
-only on the plane p3 = p1), so g = clip(high, 0, 1) - clip(low, 0, 1) and
-each clipped line has a closed-form integral. The outer integral is the
-midpoint rule on an n^2 grid, mapped onto each region by a box transform
-so the grid never touches the singular planes; it converges as O(h^2).
-The grid is evaluated in blocks of p1 rows of about 8k points each. Each
-sum allocates its scratch once, as one float array (p2, the value row and
-the inner integral's temporaries) and one bool mask, and every block
-writes into it through out=, so the heap does not grow and shrink from
-block to block. The float operations are those of fresh temporaries, in
-the same order, so every value is bit-identical to an allocating
+only on the plane p3 = p1), so g = clip(high, 0, 1) - clip(low, 0, 1).
+Each line's value at the ends of the region's p3 range fixes its clip
+branch:
+
+    A, p3 in (p1, 1): c_rr from p2 to p2/p1 > 1, c_rr* from p2 to 1
+    B, p3 in (p1, 1): c_rr from p2 to p2/p1 < 1, c_rr* from p2 to 1
+    C, p3 in (0, p1): c_rr from 0 to p2, c_rr* from (p2-p1)/(1-p1) > 0 to p2
+    D, p3 in (0, p1): c_rr from 0 to p2, c_rr* from (p2-p1)/(1-p1) < 0 to p2
+
+So only c_rr in A (cut to 1 above p3 = p1/p2) and c_rr* in D (cut to 0
+below p3 = (p1-p2)/(1-p2)) are clipped, and each region's inner integral
+has a closed form (A's is part1 + part2 - part3 below, simplified):
+
+    A: (p2-p1)(1-p2) / (2 p2)      B: (1-p1)(p1-p2) / (2 p1)
+    C: p1(p2-p1) / (2(1-p1))       D: p2(p1-p2) / (2(1-p2))
+
+Each factor is positive inside its region and is taken from p1 and p2
+with at most two roundings, and no rounded values cancel, so each form is
+accurate to a few roundings, relative.
+
+The outer integral is the midpoint rule on an n^2 grid, mapped onto each
+region by a box transform so the grid never touches the singular planes;
+it converges as O(h^2). The grid is evaluated in blocks of p1 rows of
+about 8k points each. Each sum allocates its scratch once, as one float
+array (p2, the value row and the inner integral's temporary), and every
+block writes into it through out=, so the heap does not grow and shrink
+from block to block. The float operations are those of fresh temporaries,
+in the same order, so every value is bit-identical to an allocating
 evaluation. The reported error bound is the difference from the
 half-resolution estimate; the error of `total_probability` is the sum of
 the four region errors.
@@ -59,8 +77,8 @@ __all__ = [
 ]
 
 _MIN_CELLS = 8
-# The cost grows as cells^2: on a 2-CPU Xeon, 4096 cells per axis took 2.6 s
-# and this cap, 2^14, took 35 s, in 31 MB.
+# The work grows as cells^2: on a 2-CPU Xeon, `concord exact` took 1.1 s at
+# 4096 cells per axis and 6.6 s at this cap, 2^14, in 30 MB.
 _MAX_CELLS = 1 << 14
 _BLOCK_POINTS = 8192  # (p1, p2) grid points evaluated per vectorised block
 
@@ -94,25 +112,13 @@ def integrand(p1: float, p2: float, p3: float) -> float:
     return disagreement_window(p1, p2, p3, MeasureKind.RR, MeasureKind.RR_STAR).width
 
 
-def _scratch(shape: tuple[int, ...], floats: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """`floats` float buffers of one shape, cut from one allocation, and a bool mask."""
+def _scratch(shape: tuple[int, ...], floats: int) -> list[np.ndarray]:
+    """`floats` float buffers of one shape, cut from one allocation."""
     block = np.empty((floats, *shape))
-    return [block[i, ...] for i in range(floats)], np.empty(shape, dtype=bool)
+    return [block[i, ...] for i in range(floats)]
 
 
-def _clip_antiderivative(y: np.ndarray, tmp: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Antiderivative of clip(y, 0, 1): 0 below 0, y^2/2 on [0, 1], y - 1/2 above.
-
-    The result is written over y; tmp and mask are scratch of y's shape.
-    """
-    np.less(y, 1.0, out=mask)
-    np.multiply(0.5, np.square(np.maximum(y, 0.0, out=tmp), out=tmp), out=tmp)
-    np.subtract(y, 0.5, out=y)
-    np.copyto(y, tmp, where=mask)
-    return y
-
-
-_REGION_WORK = 5  # float temporaries of _region_inner, the most any inner integral needs
+_REGION_WORK = 1  # float temporaries of _region_inner, the most any inner integral needs
 
 
 def _region_inner(
@@ -121,33 +127,26 @@ def _region_inner(
     p2: np.ndarray,
     out: np.ndarray,
     work: list[np.ndarray],
-    mask: np.ndarray,
 ) -> np.ndarray:
     """Exact integral of g over the region's p3 range for each (p1, p2).
 
-    For a line f of slope m > 0 the integral of clip(f, 0, 1) over (lo, hi)
-    is (R(f(hi)) - R(f(lo))) / m, with R the clip antiderivative. c_rr
-    exceeds c_rr* in regions A and D and falls below it in B and C.
-
-    The result goes to out, with _REGION_WORK float buffers in work and a
-    bool mask as scratch, all of the broadcast shape of p1 and p2.
+    The closed forms of the module docstring, which hold only for (p1, p2)
+    inside the region's box. The result goes to out, with the
+    _REGION_WORK float buffers in work as scratch, all of the broadcast
+    shape of p1 and p2.
     """
-    lo, hi = (0.0, p1) if region in (Region.C, Region.D) else (p1, 1.0)
-    R = partial(_clip_antiderivative, mask=mask)
-    m_rr, m_star, a, b, c = work
-    np.divide(p2, p1, out=m_rr)
-    np.divide(np.subtract(1.0, p2, out=m_star), 1.0 - p1, out=m_star)
-    # rr = (R(m_rr * hi) - R(m_rr * lo)) / m_rr, in a
-    R(np.multiply(m_rr, hi, out=a), c)
-    R(np.multiply(m_rr, lo, out=b), c)
-    rr = np.divide(np.subtract(a, b, out=a), m_rr, out=a)
-    # star = (R(1 - m_star * (1 - hi)) - R(1 - m_star * (1 - lo))) / m_star, in b
-    R(np.subtract(1.0, np.multiply(m_star, 1.0 - hi, out=b), out=b), c)
-    R(np.subtract(1.0, np.multiply(m_star, 1.0 - lo, out=c), out=c), m_rr)
-    star = np.divide(np.subtract(b, c, out=b), m_star, out=b)
-    if region in (Region.A, Region.D):
-        return np.subtract(rr, star, out=out)
-    return np.subtract(star, rr, out=out)
+    (tmp,) = work
+    if region is Region.A:  # (p2-p1)(1-p2) / (2 p2)
+        np.multiply(np.subtract(p2, p1, out=out), np.subtract(1.0, p2, out=tmp), out=out)
+        return np.divide(out, np.multiply(2.0, p2, out=tmp), out=out)
+    # B and C take their p1 factor first, once per grid row
+    if region is Region.B:  # (1-p1)(p1-p2) / (2 p1)
+        return np.multiply((1.0 - p1) / (2.0 * p1), np.subtract(p1, p2, out=out), out=out)
+    if region is Region.C:  # p1(p2-p1) / (2(1-p1))
+        return np.multiply(p1 / (2.0 * (1.0 - p1)), np.subtract(p2, p1, out=out), out=out)
+    # D: p2(p1-p2) / (2(1-p2))
+    np.multiply(p2, np.subtract(p1, p2, out=out), out=out)
+    return np.divide(out, np.multiply(2.0, np.subtract(1.0, p2, out=tmp), out=tmp), out=out)
 
 
 def _part_inner(
@@ -156,7 +155,6 @@ def _part_inner(
     p2: np.ndarray,
     out: np.ndarray,
     work: list[np.ndarray],
-    mask: np.ndarray,
 ) -> np.ndarray:
     """Exact inner p3 integral of one piece of the region-A decomposition.
 
@@ -168,8 +166,8 @@ def _part_inner(
         part 2: p3 in (p1/p2, 1), integrand 1                  -> 1/4
         part 3: p3 in (p1, 1), integrand c_rr* (subtracted)    -> 13/48
 
-    The result goes to out; work and mask are unused, and accepted so
-    that _grid_sum calls every inner alike.
+    The result goes to out; work is unused, and accepted so that _grid_sum
+    calls every inner alike.
     """
     if part == 1:
         # 0.5 * p1 * (1/p2 - p2)
@@ -188,13 +186,13 @@ def _grid_sum(inner: Callable[..., np.ndarray], p2_below: bool, cells: int) -> f
     The unit square maps onto the region's box: its first axis is p1, and
     u on its second axis spans the p2 range below or above p1. Rows of p1
     are evaluated in blocks of about _BLOCK_POINTS grid points, all in one
-    scratch allocation: inner(p1, p2, out, work, mask) writes its value
-    row to out and may use the _REGION_WORK buffers in work and the mask.
+    scratch allocation: inner(p1, p2, out, work) writes its value row to
+    out and may use the _REGION_WORK buffers in work.
     """
     mids = (np.arange(cells) + 0.5) / cells
     u = mids[None, :]
     rows = max(1, _BLOCK_POINTS // cells)
-    buffers, mask = _scratch((rows, cells), 2 + _REGION_WORK)
+    buffers = _scratch((rows, cells), 2 + _REGION_WORK)
     total = 0.0
     for first in range(0, cells, rows):
         p1 = mids[first : first + rows, None]
@@ -204,7 +202,7 @@ def _grid_sum(inner: Callable[..., np.ndarray], p2_below: bool, cells: int) -> f
         np.multiply(width, u, out=p2)
         if not p2_below:
             np.add(p1, p2, out=p2)
-        inner(p1, p2, value, work, mask[:n])
+        inner(p1, p2, value, work)
         total += float(np.multiply(width, value, out=value).sum())
     return total / cells**2
 

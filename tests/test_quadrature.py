@@ -1,6 +1,8 @@
 """Tests for the deterministic disagreement-probability integrals."""
 
 import math
+import sys
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -22,6 +24,7 @@ from concord.quadrature import (
 strict = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
 FAST = 64
+EPS = sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +113,19 @@ def test_region_a_parts_hand_values():
     assert part3.value == pytest.approx(13 / 48, abs=5e-3)
 
 
+@pytest.mark.parametrize("region", list(Region))
+def test_region_golden_values(region):
+    # The midpoint grid at resolution 64; integrating the clipped critical
+    # lines through their antiderivative gives these values to the last bit.
+    golden = {
+        Region.A: 0.041658727110986435,
+        Region.B: 0.0416717529296875,
+        Region.C: 0.0416717529296875,
+        Region.D: 0.041658727110986435,
+    }
+    assert region_probability(region, FAST).value == pytest.approx(golden[region], rel=1e-14)
+
+
 def test_region_a_parts_golden_values():
     # Values of a 3D midpoint grid at resolution 64. The parts' p3 integrands
     # are linear, so that grid is exact in p3 and the closed forms match it.
@@ -166,15 +182,59 @@ def test_inner_integral_matches_a_fine_midpoint_sum(region, a, b):
     p3 = start + width * (np.arange(REFERENCE_POINTS) + 0.5) / REFERENCE_POINTS
     # midpoint error per kink is at most h^2/8 times the slope jump (<= 99)
     reference = width * float(_integrand_array(p1, p2, p3).mean())
-    (out, *work), mask = quadrature._scratch((), 1 + quadrature._REGION_WORK)
-    exact = float(quadrature._region_inner(region, p1, p2, out, work, mask))
+    out, *work = quadrature._scratch((), 1 + quadrature._REGION_WORK)
+    exact = float(quadrature._region_inner(region, p1, p2, out, work))
     assert exact == pytest.approx(reference, abs=1e-9)
     assert integrand(p1, p2, p3[0]) == _integrand_array(p1, p2, p3[0])
     if region is Region.A:
         parts = [
-            float(quadrature._part_inner(k, p1, p2, out, work, mask)) for k in (1, 2, 3)
+            float(quadrature._part_inner(k, p1, p2, out, work)) for k in (1, 2, 3)
         ]
         assert parts[0] + parts[1] - parts[2] == pytest.approx(exact, abs=1e-14)
+
+
+def _exact_region_inner(region, p1, p2):
+    """The inner integral of g for exact rationals p1, p2, by clipping the lines.
+
+    For a line f of slope m > 0 the integral of clip(f, 0, 1) over (lo, hi)
+    is (R(f(hi)) - R(f(lo))) / m, with R the clip antiderivative.
+    """
+
+    def R(y):
+        return 0 if y <= 0 else y * y / 2 if y <= 1 else y - Fraction(1, 2)
+
+    lo, hi = (0, p1) if region in (Region.C, Region.D) else (p1, 1)
+    m_rr = p2 / p1
+    m_star = (1 - p2) / (1 - p1)
+    rr = (R(m_rr * hi) - R(m_rr * lo)) / m_rr
+    star = (R(1 - m_star * (1 - hi)) - R(1 - m_star * (1 - lo))) / m_star
+    return rr - star if region in (Region.A, Region.D) else star - rr
+
+
+def _spread_risk_pairs(rng, n):
+    """Sorted pairs of distinct risks in (0, 1), each drawn as r, r**12 or 1 - r**12.
+
+    Of n draws, those with a risk rounded onto 0 or 1 or with equal risks
+    are dropped.
+    """
+    r = rng.random((n, 2))
+    risks = np.choose(rng.integers(3, size=(n, 2)), [r, r**12, 1.0 - r**12])
+    keep = (risks > 0.0).all(axis=1) & (risks < 1.0).all(axis=1) & (risks[:, 0] != risks[:, 1])
+    return np.sort(risks[keep], axis=1)
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_inner_integral_matches_the_exact_rational_integral(region):
+    pairs = _spread_risk_pairs(np.random.default_rng(20211), 2400)
+    low, high = pairs[:, 0], pairs[:, 1]
+    assert len(pairs) >= 2000 and low.min() < 1e-30 and high.max() > 1.0 - 1e-13
+    p1, p2 = (high, low) if region in (Region.B, Region.D) else (low, high)
+    out, *work = quadrature._scratch(p1.shape, 1 + quadrature._REGION_WORK)
+    values = quadrature._region_inner(region, p1, p2, out, work)
+    for a, b, value in zip(p1.tolist(), p2.tolist(), values.tolist()):
+        exact = _exact_region_inner(region, Fraction(a), Fraction(b))
+        assert exact > 0
+        assert abs(Fraction(value) - exact) <= 4 * EPS * exact, (a, b)
 
 
 @pytest.mark.parametrize("region", list(Region))
@@ -198,18 +258,14 @@ def test_refinement_shrinks_the_error():
 # the scratch-buffer grid against the allocating form it replaced
 
 
-def _unscratched_clip_antiderivative(y):
-    return np.where(y < 1.0, 0.5 * np.square(np.maximum(y, 0.0)), y - 0.5)
-
-
 def _unscratched_region_inner(region, p1, p2):
-    lo, hi = (0.0, p1) if region in (Region.C, Region.D) else (p1, 1.0)
-    R = _unscratched_clip_antiderivative
-    m_rr = p2 / p1
-    m_star = (1.0 - p2) / (1.0 - p1)
-    rr = (R(m_rr * hi) - R(m_rr * lo)) / m_rr
-    star = (R(1.0 - m_star * (1.0 - hi)) - R(1.0 - m_star * (1.0 - lo))) / m_star
-    return rr - star if region in (Region.A, Region.D) else star - rr
+    if region is Region.A:
+        return (p2 - p1) * (1.0 - p2) / (2.0 * p2)
+    if region is Region.B:
+        return (1.0 - p1) / (2.0 * p1) * (p1 - p2)
+    if region is Region.C:
+        return p1 / (2.0 * (1.0 - p1)) * (p2 - p1)
+    return p2 * (p1 - p2) / (2.0 * (1.0 - p2))
 
 
 def _unscratched_part_inner(part, p1, p2):
@@ -234,25 +290,28 @@ def _unscratched_grid_sum(inner, p2_below, cells):
     return total / cells**2
 
 
+# Each region's closed form holds only on its own box (p2 below p1 in B and
+# D); the parts hold for any p1, p2 in (0, 1) and are checked on both boxes.
 INNERS = [
     *((f"region-{region.value}", partial(quadrature._region_inner, region),
-       partial(_unscratched_region_inner, region)) for region in Region),
+       partial(_unscratched_region_inner, region), region in (Region.B, Region.D))
+      for region in Region),
     *((f"part-{part}", partial(quadrature._part_inner, part),
-       partial(_unscratched_part_inner, part)) for part in (1, 2, 3)),
+       partial(_unscratched_part_inner, part), p2_below)
+      for part in (1, 2, 3) for p2_below in (False, True)),
 ]  # fmt: skip
+INNER_IDS = [f"{name}-{p2_below}" for name, _, _, p2_below in INNERS]
 
 
 @pytest.mark.parametrize("cells", [8, 100, 257, 3000])  # partial last blocks, and rows=2
-@pytest.mark.parametrize("p2_below", [False, True])
-@pytest.mark.parametrize("name, inner, unscratched", INNERS, ids=[i[0] for i in INNERS])
+@pytest.mark.parametrize("name, inner, unscratched, p2_below", INNERS, ids=INNER_IDS)
 def test_scratch_grid_sum_is_bit_identical(name, inner, unscratched, p2_below, cells):
     assert quadrature._grid_sum(inner, p2_below, cells) == _unscratched_grid_sum(
         unscratched, p2_below, cells
     )
 
 
-@pytest.mark.parametrize("p2_below", [False, True])
-@pytest.mark.parametrize("name, inner, unscratched", INNERS, ids=[i[0] for i in INNERS])
+@pytest.mark.parametrize("name, inner, unscratched, p2_below", INNERS, ids=INNER_IDS)
 def test_scratch_inner_values_are_bit_identical(name, inner, unscratched, p2_below):
     # Elementwise, since a total can hide a last-bit change in one point.
     cells = 257
@@ -260,7 +319,7 @@ def test_scratch_inner_values_are_bit_identical(name, inner, unscratched, p2_bel
     p1 = mids[:, None]
     width = p1 if p2_below else 1.0 - p1
     p2 = width * mids[None, :] if p2_below else p1 + width * mids[None, :]
-    (out, *work), mask = quadrature._scratch(p2.shape, 1 + quadrature._REGION_WORK)
+    out, *work = quadrature._scratch(p2.shape, 1 + quadrature._REGION_WORK)
     expected = unscratched(p1, p2).view(np.int64)
     for _ in range(2):  # the second call finds the first call's values in the scratch
-        assert np.array_equal(inner(p1, p2, out, work, mask).view(np.int64), expected)
+        assert np.array_equal(inner(p1, p2, out, work).view(np.int64), expected)
