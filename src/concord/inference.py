@@ -61,8 +61,11 @@ class CellCount:
     total: int
 
     def __post_init__(self) -> None:
-        if self.total < 1:
-            raise InputValidationError(f"cell total must be >= 1, got {self.total}")
+        # 2**53 is the largest total up to which every count is an exact float
+        if not 1 <= self.total <= 2**53:
+            raise InputValidationError(
+                f"cell total must lie in [1, 2**53], got {self.total}"
+            )
         if not 0 <= self.events <= self.total:
             raise InputValidationError(
                 f"cell events must lie in [0, total], got {self.events}/{self.total}"

@@ -72,7 +72,7 @@ and draws _TILE trials at a time from the lanes (_draw_tile). The RR/RR*
 screen runs on each tile while it is still in cache, and the conflicts are
 packed into a _TILE-trial buffer that goes through the kernel when the
 next tile's conflicts would not fit, and at the end of the block
-(_BlockHistogram). The tent quantile, the screen and the kernel are
+(_block_counts). The tent quantile, the screen and the kernel are
 elementwise and the histogram is a sum, so every count equals that of an
 untiled evaluation of the same draws. Every array a run works in, about
 3.2 MiB, is cut from one allocation (_Scratch): the tile's draws, the
@@ -92,7 +92,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -331,12 +331,6 @@ def quadruple_density(
 # --- sampling ----------------------------------------------------------------
 
 
-def _tiles(n: int) -> Iterator[slice]:
-    """Consecutive slices of at most _TILE trials covering range(n)."""
-    for start in range(0, n, _TILE):
-        yield slice(start, min(start + _TILE, n))
-
-
 def _redraw_on_bounds(
     values: np.ndarray,
     redraw: Callable[[np.ndarray], np.ndarray],
@@ -507,50 +501,14 @@ class _Scratch:
         self.kernel = [*rows[12:-2], flags[3].view(bool), *flags[4:7]]
 
 
-class _BlockHistogram:
-    """Direction-key histogram of one block's screened trials.
-
-    add() screens one tile: trials with no RR/RR* conflict count at key 0,
-    and the conflicts are packed into scratch.packed. flush() runs the
-    kernel on the packed trials; add() calls it when the tile's conflicts
-    would not fit. Tiles may be added in any grouping: the kernel is
-    elementwise and the histogram a sum.
-    """
-
-    def __init__(self, scratch: _Scratch) -> None:
-        self.scratch = scratch
-        self.counts = np.zeros(4096, dtype=np.int64)
-        self.packed = 0
-
-    def add(self, draws: Sequence[np.ndarray]) -> None:
-        scratch, width = self.scratch, draws[0].size
-        gate = _gate_conflicts(
-            *draws,
-            out=scratch.gate[:width],
-            work=[row[:width] for row in scratch.screen],
-        )
-        conflicts = np.flatnonzero(gate)
-        n = conflicts.size
-        if self.packed + n > scratch.keys.size:
-            self.flush()
-        start = self.packed
-        for risk, packed in zip(draws, scratch.packed):
-            np.take(risk, conflicts, out=packed[start : start + n], mode="clip")
-        self.packed = start + n
-        # every other trial agrees on all 64 subsets, as key 0 does
-        self.counts[0] += width - n
-
-    def flush(self) -> np.ndarray:
-        """Count the packed trials' keys; returns the block's counts so far."""
-        scratch, n = self.scratch, self.packed
-        keys = _direction_masks(
-            *(risk[:n] for risk in scratch.packed),
-            out=scratch.keys[:n],
-            work=[row[:n] for row in scratch.kernel],
-        )
-        self.counts += np.bincount(keys, minlength=4096)
-        self.packed = 0
-        return self.counts
+def _count_packed(scratch: _Scratch, n: int, hist: np.ndarray) -> None:
+    """Add the kernel's keys of the first n packed trials to hist."""
+    keys = _direction_masks(
+        *(risk[:n] for risk in scratch.packed),
+        out=scratch.keys[:n],
+        work=[row[:n] for row in scratch.kernel],
+    )
+    hist += np.bincount(keys, minlength=4096)
 
 
 def _block_counts(
@@ -564,7 +522,12 @@ def _block_counts(
     """Direction-key histogram of the next n trials of rng's stream.
 
     Streams the block tile by tile: lanes are set to the places of p1..p4
-    in the block's stream, and rng moves past the block's 4n outputs.
+    in the block's stream, and rng moves past the block's 4n outputs. Each
+    tile is drawn and screened; trials with no RR/RR* conflict count at key
+    0, and the conflicts are packed into scratch.packed, which goes through
+    the kernel when the next tile's conflicts would not fit, and at the end
+    of the block. The kernel is elementwise and the histogram a sum, so the
+    grouping does not change the counts.
     """
     # where p1, p2, p3, p4 start in the block's stream, in units of n: in
     # turn, or p1, p3, p2, p4 for tent
@@ -575,12 +538,29 @@ def _block_counts(
         lane.bit_generator.state = state
         lane.bit_generator.advance(place * n)
     rng.bit_generator.advance(4 * n)
-    hist = _BlockHistogram(scratch)
-    for tile in _tiles(n):
-        draws = [row[: tile.stop - tile.start] for row in scratch.draws]
+    hist = np.zeros(4096, dtype=np.int64)
+    packed = 0
+    for start in range(0, n, _TILE):
+        width = min(_TILE, n - start)
+        draws = [row[:width] for row in scratch.draws]
         _draw_tile(lanes, spare, config, draws, scratch.screen)
-        hist.add(draws)
-    return hist.flush()
+        gate = _gate_conflicts(
+            *draws,
+            out=scratch.gate[:width],
+            work=[row[:width] for row in scratch.screen],
+        )
+        conflicts = np.flatnonzero(gate)
+        if packed + conflicts.size > scratch.keys.size:
+            _count_packed(scratch, packed, hist)
+            packed = 0
+        end = packed + conflicts.size
+        for risk, buffer in zip(draws, scratch.packed):
+            np.take(risk, conflicts, out=buffer[packed:end], mode="clip")
+        packed = end
+        # every other trial agrees on all 64 subsets, as key 0 does
+        hist[0] += width - conflicts.size
+    _count_packed(scratch, packed, hist)
+    return hist
 
 
 def run(config: SimulationConfig) -> SimulationResult:

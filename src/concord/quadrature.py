@@ -166,17 +166,19 @@ def _part_inner(
         part 2: p3 in (p1/p2, 1), integrand 1                  -> 1/4
         part 3: p3 in (p1, 1), integrand c_rr* (subtracted)    -> 13/48
 
-    The result goes to out; work is unused, and accepted so that _grid_sum
-    calls every inner alike.
+    Each form is a product and quotient of factors taken from p1 and p2
+    with at most one rounding each, so no rounded values cancel. The
+    result goes to out, with the _REGION_WORK float buffers in work as
+    scratch.
     """
-    if part == 1:
-        # 0.5 * p1 * (1/p2 - p2)
-        inner = np.subtract(np.divide(1.0, p2, out=out), p2, out=out)
-        return np.multiply(0.5 * p1, inner, out=out)
-    if part == 2:
-        # 1 - p1/p2
-        return np.subtract(1.0, np.divide(p1, p2, out=out), out=out)
-    # 0.5 * (1 - p1) * (1 + p2)
+    (tmp,) = work
+    if part == 1:  # p1 (1-p2)(1+p2) / (2 p2)
+        np.multiply(0.5 * p1, np.subtract(1.0, p2, out=out), out=out)
+        np.multiply(out, np.add(1.0, p2, out=tmp), out=out)
+        return np.divide(out, p2, out=out)
+    if part == 2:  # (p2-p1) / p2
+        return np.divide(np.subtract(p2, p1, out=out), p2, out=out)
+    # 0.5 (1-p1)(1+p2)
     return np.multiply(0.5 * (1.0 - p1), np.add(1.0, p2, out=out), out=out)
 
 

@@ -364,6 +364,31 @@ def test_modification_degenerate_cells(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "total", [2**53 + 1, 10**309, 10**400], ids=["2**53+1", "1e309", "1e400"]
+)
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command",
+    [["test-modification"], ["test-modification", "--correct-degenerate"], ["agree"]],
+    ids=["test-modification", "test-modification-corrected", "agree"],
+)
+def test_counts_above_2_53_exit_1(capsys, tmp_path, command, suffix, total):
+    # a total past 2**53 is not an exact float, and past 1e308 no float at all
+    text = COUNTS_CSV.replace("Q,control,1000,5000", f"Q,control,1000,{total}")
+    if suffix == "json":
+        counts = {"P": {}, "Q": {}}
+        for stratum, group, events, n in (row.split(",") for row in text.split()[1:]):
+            counts[stratum][group] = {"events": int(events), "total": int(n)}
+        text = json.dumps({"counts": counts})
+    path = tmp_path / f"counts.{suffix}"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command[0], "--in", str(path), *command[1:])
+    assert code == 1
+    assert err.startswith("error:") and "2**53" in err
+    assert "Traceback" not in err
+
+
 def test_modification_alpha_validation(capsys, tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text(COUNTS_CSV)

@@ -52,6 +52,13 @@ def test_cell_count_validation():
     assert CellCount(10, 10).risk() == 1.0
 
 
+def test_cell_count_total_is_at_most_2_53():
+    # every count up to 2**53 is an exact float; 2**53 + 1 is not
+    assert CellCount(2**53, 2**53).risk(corrected=True) == 1.0
+    with pytest.raises(InputValidationError, match=r"2\*\*53"):
+        CellCount(1, 2**53 + 1)
+
+
 def test_corrected_risk():
     assert CellCount(0, 50).risk(corrected=True) == pytest.approx(0.5 / 51)
     assert CellCount(50, 50).risk(corrected=True) == pytest.approx(50.5 / 51)

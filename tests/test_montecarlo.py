@@ -27,7 +27,6 @@ from concord.montecarlo import (
     SimulationConfig,
     SimulationResult,
     _block_counts,
-    _BlockHistogram,
     _counts_from_histogram,
     _direction_masks,
     _draw_tile,
@@ -36,7 +35,6 @@ from concord.montecarlo import (
     _Scratch,
     _spare_draws,
     _tent_quantile,
-    _tiles,
     quadruple_density,
     run,
     subset_mask,
@@ -74,6 +72,18 @@ def _screen(*risks):
     # the RR/RR* screen's flags, in the buffers run gives it
     scratch = _Scratch(risks[0].size)
     return _gate_conflicts(*risks, out=scratch.gate, work=scratch.screen)
+
+
+def _record_screened_tiles(monkeypatch):
+    # the tiles of (p1, p2, p3, p4) that run's screen sees, in order
+    tiles = []
+
+    def recording_gate(*risks, out, work):
+        tiles.append(np.stack(risks))
+        return _gate_conflicts(*risks, out=out, work=work)
+
+    monkeypatch.setattr(montecarlo, "_gate_conflicts", recording_gate)
+    return tiles
 
 
 class _Emitter:
@@ -488,16 +498,12 @@ def test_tiles_allocate_no_tile_temporaries(dist):
     # temporary of one tile would be 8 * _TILE bytes. What is left is the
     # histogram, the conflicts' indices and the kernel's bincount.
     cfg = SimulationConfig(trials=1, distribution=dist)
-    lanes = [np.random.default_rng(lane) for lane in range(4)]
-    spare = np.random.default_rng(4)
+    rng, spare = np.random.default_rng(4), np.random.default_rng(5)
+    lanes = [np.random.default_rng(0) for _ in range(4)]  # states are overwritten
     scratch = _Scratch(_TILE)
 
     def three_tiles():
-        hist = _BlockHistogram(scratch)
-        for _ in range(3):
-            _draw_tile(lanes, spare, cfg, scratch.draws, scratch.screen)
-            hist.add(scratch.draws)
-        hist.flush()
+        _block_counts(rng, spare, lanes, 3 * _TILE, cfg, scratch)
 
     three_tiles()  # warm-up
     tracemalloc.start()
@@ -520,10 +526,7 @@ def test_uniform_draws_are_scaled_generator_output_in_order(
     n = _TILE + 1
     reference = np.random.default_rng(2)
     expected = reference.random((4, n))
-    tiles = []
-    monkeypatch.setattr(
-        _BlockHistogram, "add", lambda _, draws: tiles.append(np.stack(draws))
-    )
+    tiles = _record_screened_tiles(monkeypatch)
     rng = np.random.default_rng(2)
     lanes = [np.random.default_rng(0) for _ in range(4)]  # states are overwritten
     cfg = SimulationConfig(trials=1, distribution=dist)
@@ -675,8 +678,8 @@ def _reference_tiles(config):
         block = min(_BLOCK, remaining)
         stream = rng.random((4, block))
         lanes = [_Emitter(stream[row]) for row in rows]
-        for tile in _tiles(block):
-            draws = np.empty((4, tile.stop - tile.start))
+        for start in range(0, block, _TILE):
+            draws = np.empty((4, min(_TILE, block - start)))
             _draw_tile(lanes, spare, config, draws, work)
             yield draws
         remaining -= block
@@ -724,6 +727,29 @@ def test_screened_counts_equal_unscreened_counts(dist, bounds, seed, trials):
     assert run(cfg).counts == _unscreened_counts(cfg)
 
 
+def test_full_packing_buffer_runs_the_kernel_mid_block(monkeypatch):
+    # The conflicts of a 2^18-trial block overflow the _TILE-trial packing
+    # buffer, so the kernel runs before the block ends, and the counts are
+    # still those of every trial through the kernel.
+    cfg = SimulationConfig(trials=_BLOCK + 7, seed=3)
+    blocks = []
+
+    def recording_block_counts(*args):
+        blocks.append([])
+        return _block_counts(*args)
+
+    def counting_kernel(p1, p2, p3, p4, out, work):
+        blocks[-1].append(p1.size)
+        return _direction_masks(p1, p2, p3, p4, out, work)
+
+    monkeypatch.setattr(montecarlo, "_block_counts", recording_block_counts)
+    monkeypatch.setattr(montecarlo, "_direction_masks", counting_kernel)
+    counts = run(cfg).counts
+    assert len(blocks) == 2
+    assert len(blocks[0]) >= 3 and max(blocks[0]) <= _TILE
+    assert counts == _unscreened_counts(cfg)
+
+
 def test_run_draws_the_reference_stream_near_one(monkeypatch):
     # Near 1 about one control draw in 900 is replaced from the spare. The
     # float gate screen is not exact this close to 1, so the draws are
@@ -734,10 +760,7 @@ def test_run_draws_the_reference_stream_near_one(monkeypatch):
         distribution=Distribution.TENT_DEPENDENT,
         bounds=(0.9999999999999, 1.0),
     )
-    tiles, replaced = [], []
-    monkeypatch.setattr(
-        _BlockHistogram, "add", lambda _, draws: tiles.append(np.stack(draws))
-    )
+    tiles, replaced = _record_screened_tiles(monkeypatch), []
     run(cfg)
 
     def counting_spare_draws(spare, bad):

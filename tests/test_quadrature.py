@@ -115,8 +115,7 @@ def test_region_a_parts_hand_values():
 
 @pytest.mark.parametrize("region", list(Region))
 def test_region_golden_values(region):
-    # The midpoint grid at resolution 64; integrating the clipped critical
-    # lines through their antiderivative gives these values to the last bit.
+    # Midpoint sums at resolution 64 of the closed-form inner integrals.
     golden = {
         Region.A: 0.041658727110986435,
         Region.B: 0.0416717529296875,
@@ -223,16 +222,40 @@ def _spread_risk_pairs(rng, n):
     return np.sort(risks[keep], axis=1)
 
 
-@pytest.mark.parametrize("region", list(Region))
-def test_inner_integral_matches_the_exact_rational_integral(region):
+def _exact_part_inner(part, p1, p2):
+    """A region-A part's inner integral for exact rationals p1 < p2.
+
+    Each part's integrand is linear in p3, so its integral is the mean of
+    the end values times the length of its p3 range.
+    """
+    lo, hi, f = {
+        1: (p1, p1 / p2, lambda p3: p2 * p3 / p1),
+        2: (p1 / p2, 1, lambda p3: 1),
+        3: (p1, 1, lambda p3: 1 - (1 - p2) * (1 - p3) / (1 - p1)),
+    }[part]
+    return (f(lo) + f(hi)) * (hi - lo) / 2
+
+
+EXACT_INNERS = [
+    *(pytest.param(partial(quadrature._region_inner, region),
+                   partial(_exact_region_inner, region), region, id=str(region))
+      for region in Region),
+    *(pytest.param(partial(quadrature._part_inner, part),
+                   partial(_exact_part_inner, part), Region.A, id=f"part-{part}")
+      for part in (1, 2, 3)),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("inner, exact_inner, region", EXACT_INNERS)
+def test_inner_integral_matches_the_exact_rational_integral(inner, exact_inner, region):
     pairs = _spread_risk_pairs(np.random.default_rng(20211), 2400)
     low, high = pairs[:, 0], pairs[:, 1]
     assert len(pairs) >= 2000 and low.min() < 1e-30 and high.max() > 1.0 - 1e-13
     p1, p2 = (high, low) if region in (Region.B, Region.D) else (low, high)
     out, *work = quadrature._scratch(p1.shape, 1 + quadrature._REGION_WORK)
-    values = quadrature._region_inner(region, p1, p2, out, work)
+    values = inner(p1, p2, out, work)
     for a, b, value in zip(p1.tolist(), p2.tolist(), values.tolist()):
-        exact = _exact_region_inner(region, Fraction(a), Fraction(b))
+        exact = exact_inner(Fraction(a), Fraction(b))
         assert exact > 0
         assert abs(Fraction(value) - exact) <= 4 * EPS * exact, (a, b)
 
@@ -270,9 +293,9 @@ def _unscratched_region_inner(region, p1, p2):
 
 def _unscratched_part_inner(part, p1, p2):
     if part == 1:
-        return 0.5 * p1 * (1.0 / p2 - p2)
+        return 0.5 * p1 * (1.0 - p2) * (1.0 + p2) / p2
     if part == 2:
-        return 1.0 - p1 / p2
+        return (p2 - p1) / p2
     return 0.5 * (1.0 - p1) * (1.0 + p2)
 
 
