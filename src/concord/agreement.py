@@ -20,10 +20,10 @@ Two measures disagree when one points TowardP and the other TowardQ;
 Null agrees with everything. A set of measures agrees when no pair inside
 it disagrees.
 
-The module also provides critical values of p4: given (p1, p2, p3), the
-value of p4 at which a measure shows no modification. Two measures
-disagree exactly when the true p4 lies strictly between their critical
-values, which yields the disagreement window.
+The module also provides critical values of p4, all read from one table
+(measures._critical_values): given (p1, p2, p3), the p4 at which each
+measure shows no modification. Two measures disagree exactly when the true
+p4 lies strictly between their critical values: the disagreement window.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from .measures import (
     ALL_KINDS,
     MeasureKind,
     RiskPair,
+    _critical_values,
     _measures,
     _relative_risks,
-    _require_strict_probs,
     subset_agrees,
     subset_mask,
 )
@@ -151,17 +151,20 @@ class AgreementReport:
     """Full agreement analysis of one pair of strata.
 
     directions maps every kind to its Direction; subset_verdicts holds
-    each verdict once, indexed by bitmask (bit i = ALL_KINDS[i]); agrees is
-    the verdict for all six measures, and pair_agrees and subset_agrees
-    read the verdict for any pair or subset.
+    each verdict once, indexed by bitmask (bit i = ALL_KINDS[i]); agrees,
+    pair_agrees and subset_agrees read the verdict for all six measures,
+    a pair or any subset.
     """
 
     strata: StratifiedRisks
     directions: Mapping[MeasureKind, Direction]
     subset_verdicts: tuple[bool, ...]
-    agrees: bool
     rr_gate_fired: bool
     fired_conditions: tuple["FiredCondition", ...]
+
+    @property
+    def agrees(self) -> bool:
+        return self.subset_verdicts[_ALL_SIX_MASK]
 
     def pair_agrees(self, kind_a: MeasureKind, kind_b: MeasureKind) -> bool:
         return self.subset_verdicts[(1 << kind_a.bit) | (1 << kind_b.bit)]
@@ -185,7 +188,6 @@ def agree(strata: StratifiedRisks) -> AgreementReport:
         strata=strata,
         directions=directions,
         subset_verdicts=verdicts,
-        agrees=verdicts[_ALL_SIX_MASK],
         rr_gate_fired=verdicts[_RR_GATE_MASK],
         fired_conditions=fired,
     )
@@ -211,27 +213,18 @@ def _gate_pair(pair: RiskPair) -> tuple[float, float]:
 def critical_p4(p1: float, p2: float, p3: float, kind: MeasureKind) -> float:
     """The p4 at which `kind` shows no modification, given (p1, p2, p3).
 
-    Solves EM(p3, p4) = EM(p1, p2) for p4. RR, RD, and RR* have the
-    classic closed forms; OR, HR, and HR* are solved in closed form too
-    (each of their formulas is invertible in p4). The result may fall
-    outside (0, 1) for RR, RD, and RR*; it is returned unclamped.
+    Solves EM(p3, p4) = EM(p1, p2) for p4, in closed form for every kind.
+    The result may fall outside (0, 1) for RR, RD, and RR*; it is returned
+    unclamped.
     """
-    _require_strict_probs(p1=p1, p2=p2, p3=p3)
-    if kind is MeasureKind.RR:
-        return p2 * p3 / p1
-    if kind is MeasureKind.RD:
-        return p2 + p3 - p1
-    if kind is MeasureKind.RR_STAR:
-        return 1.0 - (1.0 - p2) * (1.0 - p3) / (1.0 - p1)
-    if kind not in (MeasureKind.OR, MeasureKind.HR, MeasureKind.HR_STAR):
+    return _entry(_critical_values(p1, p2, p3), kind)
+
+
+def _entry(values: tuple[float, ...], kind: MeasureKind) -> float:
+    """The critical value of `kind` in a table from _critical_values."""
+    if not isinstance(kind, MeasureKind):
         raise InputValidationError(f"unknown measure kind {kind!r}")
-    em_p = _measures(RiskPair(p1, p2))[kind.bit]
-    if kind is MeasureKind.OR:
-        t = em_p * p3 / (1.0 - p3)
-        return 1.0 if math.isinf(t) else t / (1.0 + t)
-    if kind is MeasureKind.HR:
-        return -math.expm1(em_p * math.log1p(-p3))  # 1 - (1-p3)^HR_P
-    return math.exp(math.log(p3) / em_p)  # p3^(1/HR*_P)
+    return values[kind.bit]
 
 
 @dataclass(frozen=True)
@@ -251,12 +244,8 @@ class CriticalValues:
 
 
 def critical_values(p1: float, p2: float, p3: float) -> CriticalValues:
-    return CriticalValues(
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        values={kind: critical_p4(p1, p2, p3, kind) for kind in ALL_KINDS},
-    )
+    values = dict(zip(ALL_KINDS, _critical_values(p1, p2, p3)))
+    return CriticalValues(p1=p1, p2=p2, p3=p3, values=values)
 
 
 @dataclass(frozen=True)
@@ -291,8 +280,8 @@ def disagreement_window(
     Empty when the critical values coincide (e.g. p1 = p2 makes them all
     equal) or when the intersection vanishes.
     """
-    ca = critical_p4(p1, p2, p3, kind_a)
-    cb = critical_p4(p1, p2, p3, kind_b)
+    values = _critical_values(p1, p2, p3)
+    ca, cb = _entry(values, kind_a), _entry(values, kind_b)
     return Window(max(0.0, min(ca, cb)), min(1.0, max(ca, cb)))
 
 

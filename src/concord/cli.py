@@ -47,7 +47,6 @@ from .agreement import (
     AgreementReport,
     StratifiedRisks,
     agree,
-    critical_p4,
     critical_values,
     disagreement_window,
 )
@@ -107,11 +106,12 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_file_flags(sub: argparse.ArgumentParser) -> None:
+def _add_file_flags(sub: argparse.ArgumentParser, required: bool = False) -> None:
     sub.add_argument(
         "--in",
         dest="infile",
         metavar="PATH",
+        required=required,
         help="risks or counts file (see --format)",
     )
     sub.add_argument(
@@ -253,18 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(Bonferroni rectangle)."
         ),
     )
-    test.add_argument(
-        "--in",
-        dest="infile",
-        metavar="PATH",
-        required=True,
-        help="counts file (stratum,group,events,total)",
-    )
-    test.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        help="input file format (default: inferred from suffix)",
-    )
+    _add_file_flags(test, required=True)
     test.add_argument("--alpha", type=float, default=0.05, help="default 0.05")
     test.add_argument(
         "--correct-degenerate",
@@ -401,15 +390,13 @@ def _cmd_window(args: argparse.Namespace) -> ReportEnvelope:
     kind_a = MeasureKind(args.kind_a)
     kind_b = MeasureKind(args.kind_b)
     window = disagreement_window(args.p1, args.p2, args.p3, kind_a, kind_b)
+    values = critical_values(args.p1, args.p2, args.p3)
     results = {
         "lower": window.lower,
         "upper": window.upper,
         "width": window.width,
         "is_empty": window.is_empty,
-        "critical_p4": {
-            kind.value: critical_p4(args.p1, args.p2, args.p3, kind)
-            for kind in (kind_a, kind_b)
-        },
+        "critical_p4": {kind.value: values.value(kind) for kind in (kind_a, kind_b)},
     }
     return ReportEnvelope(
         command="window",

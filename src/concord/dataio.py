@@ -155,6 +155,8 @@ def _parse_json(text: str) -> Union[StratifiedRisks, CountTable]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # too many digits, or too deep
+        raise ParseError(str(exc).partition(";")[0]) from None
     if not isinstance(payload, dict):
         raise ParseError('top level must be an object with "strata" or "counts"')
     has_strata = "strata" in payload

@@ -205,6 +205,25 @@ def _strict_measures(a, b, out=None) -> tuple:
     return tuple(out)
 
 
+def _critical_values(p1: float, p2: float, p3: float) -> tuple[float, ...]:
+    """The six critical p4 values of (p1, p2, p3), in ALL_KINDS order.
+
+    The one copy of the inverse formulas: entry k solves EM_k(p3, p4) =
+    EM_k(p1, p2) for p4. RR, RR* and RD may fall outside (0, 1) unclamped.
+    """
+    _require_strict_probs(p1=p1, p2=p2, p3=p3)
+    _, _, hr, hr_star, _, odds = _strict_measures(p1, p2)
+    t = odds * p3 / (1.0 - p3)
+    return (
+        p2 * p3 / p1,
+        1.0 - (1.0 - p2) * (1.0 - p3) / (1.0 - p1),
+        -math.expm1(hr * math.log1p(-p3)),  # 1 - (1-p3)^HR_P
+        math.exp(math.log(p3) / hr_star),  # p3^(1/HR*_P)
+        p2 + p3 - p1,
+        1.0 if math.isinf(t) else t / (1.0 + t),
+    )
+
+
 def _boundary_measures(a: float, b: float) -> tuple[float, ...]:
     """One-sided limits, in ALL_KINDS order, when a risk lies on 0 or 1.
 

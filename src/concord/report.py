@@ -97,6 +97,8 @@ class ReportEnvelope:
             raise ParseError(
                 f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
+        except (ValueError, RecursionError) as exc:  # too many digits, or too deep
+            raise ParseError(str(exc).partition(";")[0]) from None
         if not isinstance(payload, dict):
             raise ParseError("envelope must be a JSON object")
         missing = {"command", "inputs", "results", "version"} - payload.keys()

@@ -1,6 +1,7 @@
 """Tests for direction classification, critical values, windows, and the
 inequality-only sufficient conditions."""
 
+import dataclasses
 import math
 
 import pytest
@@ -163,6 +164,16 @@ def test_subset_agrees_matches_verdicts():
     assert report.subset_agrees([RR, OR]) == report.subset_verdicts[
         (1 << RR.bit) | (1 << OR.bit)
     ]
+
+
+def test_agrees_reads_the_all_six_verdict():
+    # stored once, in subset_verdicts; agrees is a view, not a field
+    assert "agrees" not in {field.name for field in dataclasses.fields(AgreementReport)}
+    for s in (TEXTBOOK, VACCINE, SPARSE):
+        report = agree(s)
+        assert report.agrees is report.subset_verdicts[63]
+    assert agree(strata(0.2, 0.1, 0.1, 0.3)).agrees  # qualitative modification
+    assert not agree(TEXTBOOK).agrees
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,33 @@ def test_counts_above_2_53_exit_1(capsys, tmp_path, command, suffix, total):
     assert "Traceback" not in err
 
 
+def _counts_json_with_long_total() -> str:
+    counts = {
+        stratum: {group: {"events": 1, "total": 10} for group in ("control", "exposed")}
+        for stratum in ("P", "Q")
+    }
+    total = "9" * 5001  # json.dumps cannot write it either
+    return json.dumps({"counts": counts}).replace('"total": 10}', f'"total": {total}}}', 1)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [(_counts_json_with_long_total(), "digits"), ("[" * 100_000, "recursion")],
+    ids=["5001-digit-total", "deep-nesting"],
+)
+def test_json_that_json_loads_rejects_without_decode_error_exits_1(
+    capsys, tmp_path, text, message
+):
+    # json.loads raises a plain ValueError for an integer past Python's
+    # int-string limit (4,300 digits) and RecursionError for deep nesting
+    path = tmp_path / "counts.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "agree", "--in", str(path))
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_modification_alpha_validation(capsys, tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text(COUNTS_CSV)

@@ -104,3 +104,9 @@ def test_from_json_errors():
         ReportEnvelope.from_json(json.dumps({"command": "x"}))
     with pytest.raises(ParseError, match="object"):
         ReportEnvelope.from_json(json.dumps([1]))
+    # json.loads raises a plain ValueError past Python's int-string limit,
+    # and RecursionError for deep nesting
+    with pytest.raises(ParseError, match="digits"):
+        ReportEnvelope.from_json('{"command": "x", "seed": ' + "9" * 5001 + "}")
+    with pytest.raises(ParseError, match="recursion"):
+        ReportEnvelope.from_json("[" * 100_000)
