@@ -52,7 +52,7 @@ from .agreement import (
 )
 from .inference import CountTable, estimate_rrr, from_counts, modification_test
 from .casestudies import CASE_NAMES, case_study
-from .dataio import load_strata
+from .dataio import _ROW_ORDER, load_strata
 from .report import VERSION, ReportEnvelope
 
 __all__ = ["main", "build_parser"]
@@ -61,6 +61,12 @@ _KIND_CHOICES = tuple(kind.value for kind in ALL_KINDS)
 # The Distribution values, written out so that the parser is built without
 # importing montecarlo (and numpy); tests/test_package.py pins them.
 _DIST_CHOICES = ("uniform", "rare", "tent")
+_RISK_HELP = (
+    "control risk, stratum P",
+    "exposed risk, stratum P",
+    "control risk, stratum Q",
+    "exposed risk, stratum Q",
+)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -106,6 +112,13 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_risk_flags(
+    sub: argparse.ArgumentParser, count: int, required: bool = False
+) -> None:
+    for i, text in enumerate(_RISK_HELP[:count], start=1):
+        sub.add_argument(f"--p{i}", type=float, required=required, help=text)
+
+
 def _add_file_flags(sub: argparse.ArgumentParser, required: bool = False) -> None:
     sub.add_argument(
         "--in",
@@ -140,10 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
             "optional second pair (--p3, --p4), or both strata of --in."
         ),
     )
-    measures.add_argument("--p1", type=float, help="control risk, stratum P")
-    measures.add_argument("--p2", type=float, help="exposed risk, stratum P")
-    measures.add_argument("--p3", type=float, help="control risk, stratum Q")
-    measures.add_argument("--p4", type=float, help="exposed risk, stratum Q")
+    measures.set_defaults(handler=_cmd_measures)
+    _add_risk_flags(measures, 4)
     _add_file_flags(measures)
     _add_output_flags(measures)
 
@@ -155,13 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
             "disagreements, the RR/RR* gate, and any fired sufficient conditions."
         ),
     )
-    for name, text in (
-        ("--p1", "control risk, stratum P"),
-        ("--p2", "exposed risk, stratum P"),
-        ("--p3", "control risk, stratum Q"),
-        ("--p4", "exposed risk, stratum Q"),
-    ):
-        agree_cmd.add_argument(name, type=float, help=text)
+    agree_cmd.set_defaults(handler=_cmd_agree)
+    _add_risk_flags(agree_cmd, 4)
     _add_file_flags(agree_cmd)
     _add_output_flags(agree_cmd)
 
@@ -174,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
             "RR, RR*, and RD; they are reported unclamped."
         ),
     )
-    for name in ("--p1", "--p2", "--p3"):
-        critical.add_argument(name, type=float, required=True)
+    critical.set_defaults(handler=_cmd_critical)
+    _add_risk_flags(critical, 3, required=True)
     _add_output_flags(critical)
 
     window = sub.add_parser(
@@ -186,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
             "which the two named measures point in opposite directions."
         ),
     )
+    window.set_defaults(handler=_cmd_window)
     window.add_argument("kind_a", choices=_KIND_CHOICES, help="first measure")
     window.add_argument("kind_b", choices=_KIND_CHOICES, help="second measure")
-    for name in ("--p1", "--p2", "--p3"):
-        window.add_argument(name, type=float, required=True)
+    _add_risk_flags(window, 3, required=True)
     _add_output_flags(window)
 
     simulate = sub.add_parser(
@@ -201,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
             "fixed seed."
         ),
     )
+    simulate.set_defaults(handler=_cmd_simulate)
     simulate.add_argument(
         "--trials", type=_positive_int, default=1_000_000, help="default 1000000"
     )
@@ -236,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Exact values: 1/24 per region, 1/6 total, parts 1/16 + 1/4 - 13/48."
         ),
     )
+    exact.set_defaults(handler=_cmd_exact)
     exact.add_argument(
         "--resolution",
         type=_positive_int,
@@ -253,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(Bonferroni rectangle)."
         ),
     )
+    test.set_defaults(handler=_cmd_test_modification)
     _add_file_flags(test, required=True)
     test.add_argument("--alpha", type=float, default=0.05, help="default 0.05")
     test.add_argument(
@@ -270,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and verification of every value the source printed."
         ),
     )
+    case.set_defaults(handler=_cmd_case)
     case.add_argument("name", choices=CASE_NAMES, help="case study name")
     _add_output_flags(case)
 
@@ -286,6 +296,11 @@ def _effective_seed(flag_value: Optional[int]) -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"CONCORD_SEED must be an integer, got {raw!r}") from None
+
+
+def _risk_inputs(*risks: float) -> dict:
+    """{"p1": risks[0], "p2": risks[1], ...}"""
+    return {f"p{i}": risk for i, risk in enumerate(risks, start=1)}
 
 
 def _resolve_strata(args: argparse.Namespace) -> tuple[StratifiedRisks, dict]:
@@ -305,13 +320,8 @@ def _resolve_strata(args: argparse.Namespace) -> tuple[StratifiedRisks, dict]:
         source = {}
     else:
         raise InputValidationError("need --p1 --p2 --p3 --p4, or --in FILE")
-    return strata, {
-        **source,
-        "p1": strata.p1,
-        "p2": strata.p2,
-        "p3": strata.p3,
-        "p4": strata.p4,
-    }
+    risks = _risk_inputs(strata.p1, strata.p2, strata.p3, strata.p4)
+    return strata, {**source, **risks}
 
 
 def _pair_payload(pair: RiskPair) -> dict:
@@ -333,10 +343,10 @@ def _cmd_measures(args: argparse.Namespace) -> ReportEnvelope:
         pairs = {"P": strata.stratum_p, "Q": strata.stratum_q}
     else:
         pair = RiskPair(args.p1, args.p2)
-        inputs = {"p1": pair.p_control, "p2": pair.p_exposed}
+        inputs = _risk_inputs(pair.p_control, pair.p_exposed)
         pairs = {"P": pair}
     results = {"strata": {label: _pair_payload(pair) for label, pair in pairs.items()}}
-    return ReportEnvelope(command="measures", inputs=inputs, results=results)
+    return ReportEnvelope(command=args.command, inputs=inputs, results=results)
 
 
 def _verdict_payload(report: AgreementReport) -> dict:
@@ -374,14 +384,14 @@ def _cmd_agree(args: argparse.Namespace) -> ReportEnvelope:
             for condition in report.fired_conditions
         ],
     }
-    return ReportEnvelope(command="agree", inputs=inputs, results=results)
+    return ReportEnvelope(command=args.command, inputs=inputs, results=results)
 
 
 def _cmd_critical(args: argparse.Namespace) -> ReportEnvelope:
     values = critical_values(args.p1, args.p2, args.p3)
     return ReportEnvelope(
-        command="critical",
-        inputs={"p1": args.p1, "p2": args.p2, "p3": args.p3},
+        command=args.command,
+        inputs=_risk_inputs(args.p1, args.p2, args.p3),
         results={"critical_p4": values.as_dict()},
     )
 
@@ -398,17 +408,12 @@ def _cmd_window(args: argparse.Namespace) -> ReportEnvelope:
         "is_empty": window.is_empty,
         "critical_p4": {kind.value: values.value(kind) for kind in (kind_a, kind_b)},
     }
-    return ReportEnvelope(
-        command="window",
-        inputs={
-            "kind_a": kind_a.value,
-            "kind_b": kind_b.value,
-            "p1": args.p1,
-            "p2": args.p2,
-            "p3": args.p3,
-        },
-        results=results,
-    )
+    inputs = {
+        "kind_a": kind_a.value,
+        "kind_b": kind_b.value,
+        **_risk_inputs(args.p1, args.p2, args.p3),
+    }
+    return ReportEnvelope(command=args.command, inputs=inputs, results=results)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> ReportEnvelope:
@@ -437,7 +442,7 @@ def _cmd_simulate(args: argparse.Namespace) -> ReportEnvelope:
         "venn": venn_json_rows(result),
     }
     return ReportEnvelope(
-        command="simulate",
+        command=args.command,
         inputs={
             "trials": config.trials,
             "seed": seed,
@@ -450,15 +455,6 @@ def _cmd_simulate(args: argparse.Namespace) -> ReportEnvelope:
     )
 
 
-def _estimate_payload(estimate) -> dict:
-    """A quadrature.QuadratureEstimate as JSON."""
-    return {
-        "value": estimate.value,
-        "error": estimate.error,
-        "resolution": estimate.resolution,
-    }
-
-
 def _cmd_exact(args: argparse.Namespace) -> ReportEnvelope:
     from .quadrature import Region, region_a_parts, region_probability, sum_estimates
 
@@ -466,15 +462,13 @@ def _cmd_exact(args: argparse.Namespace) -> ReportEnvelope:
         region.value: region_probability(region, args.resolution) for region in Region
     }
     parts = region_a_parts(args.resolution)
+    # vars() of a QuadratureEstimate is its fields in order: the dict that
+    # dataclasses.asdict makes, without asdict's deep copy of every field
     results = {
-        "regions": {
-            name: _estimate_payload(estimate) for name, estimate in regions.items()
-        },
-        "total": _estimate_payload(sum_estimates(regions.values())),
+        "regions": {name: vars(estimate) for name, estimate in regions.items()},
+        "total": vars(sum_estimates(regions.values())),
         "region_a_parts": {
-            "part1": _estimate_payload(parts[0]),
-            "part2": _estimate_payload(parts[1]),
-            "part3": _estimate_payload(parts[2]),
+            f"part{i}": vars(part) for i, part in enumerate(parts, start=1)
         },
         "parts_identity_residual": parts[0].value
         + parts[1].value
@@ -482,7 +476,7 @@ def _cmd_exact(args: argparse.Namespace) -> ReportEnvelope:
         - regions["A"].value,
     }
     return ReportEnvelope(
-        command="exact",
+        command=args.command,
         inputs={"scheme": "midpoint-grid", "resolution": args.resolution},
         results=results,
     )
@@ -499,12 +493,7 @@ def _cmd_test_modification(args: argparse.Namespace) -> ReportEnvelope:
     estimate = estimate_rrr(loaded, correct)
     verdict = modification_test(loaded, args.alpha, correct)
     results = {
-        "risks": {
-            "p1": strata.p1,
-            "p2": strata.p2,
-            "p3": strata.p3,
-            "p4": strata.p4,
-        },
+        "risks": _risk_inputs(strata.p1, strata.p2, strata.p3, strata.p4),
         "log_rrr1": estimate.log_rrr1,
         "log_rrr2": estimate.log_rrr2,
         "se1": estimate.se1,
@@ -515,18 +504,11 @@ def _cmd_test_modification(args: argparse.Namespace) -> ReportEnvelope:
         "reject": verdict.reject,
         "direction": verdict.direction.value,
     }
-    cells = {
-        "P": {
-            "control": {"events": loaded.p_control.events, "total": loaded.p_control.total},
-            "exposed": {"events": loaded.p_exposed.events, "total": loaded.p_exposed.total},
-        },
-        "Q": {
-            "control": {"events": loaded.q_control.events, "total": loaded.q_control.total},
-            "exposed": {"events": loaded.q_exposed.events, "total": loaded.q_exposed.total},
-        },
-    }
+    cells: dict = {}
+    for (stratum, group), cell in zip(_ROW_ORDER, loaded.cells):
+        cells.setdefault(stratum, {})[group] = vars(cell)
     return ReportEnvelope(
-        command="test-modification",
+        command=args.command,
         inputs={
             "in": args.infile,
             "counts": cells,
@@ -573,21 +555,7 @@ def _cmd_case(args: argparse.Namespace) -> ReportEnvelope:
     }
     if study.has_both_strata:
         results["agreement"] = _verdict_payload(agree(study.strata))
-    return ReportEnvelope(
-        command="case", inputs={"name": args.name}, results=results
-    )
-
-
-_DISPATCH = {
-    "measures": _cmd_measures,
-    "agree": _cmd_agree,
-    "critical": _cmd_critical,
-    "window": _cmd_window,
-    "simulate": _cmd_simulate,
-    "exact": _cmd_exact,
-    "test-modification": _cmd_test_modification,
-    "case": _cmd_case,
-}
+    return ReportEnvelope(command=args.command, inputs={"name": args.name}, results=results)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -598,7 +566,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        envelope = _DISPATCH[args.command](args)
+        envelope = args.handler(args)
         if args.out:
             Path(args.out).write_text(envelope.to_json() + "\n", encoding="utf-8")
             return 0

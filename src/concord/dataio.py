@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import codecs
 import csv
-import json
 from pathlib import Path
 from typing import Optional, Union
 
 from .errors import ConfigError, InputValidationError, ParseError
 from .agreement import StratifiedRisks
 from .inference import CellCount, CountTable
+from .report import _json_loads
 
 __all__ = ["load_strata", "parse_strata_text"]
 
@@ -151,12 +151,7 @@ def _int_cell(cell: str, line_no: int, column: int, name: str) -> int:
 
 
 def _parse_json(text: str) -> Union[StratifiedRisks, CountTable]:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:  # too many digits, or too deep
-        raise ParseError(str(exc).partition(";")[0]) from None
+    payload = _json_loads(text)
     if not isinstance(payload, dict):
         raise ParseError('top level must be an object with "strata" or "counts"')
     has_strata = "strata" in payload

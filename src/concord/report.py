@@ -31,6 +31,16 @@ __all__ = ["VERSION", "ReportEnvelope"]
 VERSION = "0.1.0"
 
 
+def _json_loads(text: str) -> Any:
+    """json.loads, with every way it rejects the text raised as ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # too many digits, or too deep
+        raise ParseError(str(exc).partition(";")[0]) from None
+
+
 def _normalize(value: Any, path: str) -> Any:
     """Tuples become lists and keys strings; a NaN raises, naming its path."""
     if isinstance(value, dict):
@@ -91,14 +101,7 @@ class ReportEnvelope:
 
     @classmethod
     def from_json(cls, text: str) -> "ReportEnvelope":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
-        except (ValueError, RecursionError) as exc:  # too many digits, or too deep
-            raise ParseError(str(exc).partition(";")[0]) from None
+        payload = _json_loads(text)
         if not isinstance(payload, dict):
             raise ParseError("envelope must be a JSON object")
         missing = {"command", "inputs", "results", "version"} - payload.keys()

@@ -375,6 +375,19 @@ def test_critical_rejects_non_strict_inputs(bad):
         critical_p4(0.1, 0.2, bad, RR)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: critical_p4(0.1, 0.2, 0.3, "RR"),
+        lambda: disagreement_window(0.1, 0.2, 0.3, "RR", OR),
+    ],
+    ids=["critical_p4", "disagreement_window"],
+)
+def test_kind_that_is_not_a_measure_kind_is_an_input_error(call):
+    with pytest.raises(InputValidationError, match="unknown measure kind 'RR'"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # disagreement windows
 

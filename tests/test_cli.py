@@ -286,6 +286,9 @@ def test_simulate_tent_with_bounds(capsys):
     [
         ("simulate", "--trials", "0"),
         ("simulate", "--bounds", "nonsense"),
+        ("simulate", "--bounds", "a,b"),
+        ("simulate", "--digits", "x"),
+        ("simulate", "--digits", "-1"),
         ("simulate", "--dist", "gaussian"),
         ("simulate", "--trials", "100", "--bounds", "0.9,0.1"),
         ("simulate", "--trials", "100", "--seed", "-1"),

@@ -206,6 +206,32 @@ def test_json_type_checks():
         parse_strata_text(json.dumps(payload), "json")
 
 
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        ((), [7, 100], '"counts" must be an object'),
+        (("P",), 7, "counts.P must be an object"),
+        (("P", "control"), 7, "counts.P.control must be an object"),
+        (("P", "control"), {"total": 100}, "counts.P.control is missing 'events'"),
+    ],
+    ids=["counts", "stratum", "cell", "events"],
+)
+def test_json_counts_shape_errors(keys, value, message):
+    payload = json.loads(COUNTS_JSON)
+    *parents, last = ("counts", *keys)
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ParseError, match=message):
+        parse_strata_text(json.dumps(payload), "json")
+
+
+def test_parse_strata_text_rejects_an_unknown_format():
+    with pytest.raises(ConfigError, match="format must be 'csv' or 'json'"):
+        parse_strata_text(RISKS_CSV, "xml")
+
+
 # ---------------------------------------------------------------------------
 # files and format inference
 
