@@ -39,9 +39,10 @@ from .measures import (
     MeasureKind,
     RiskPair,
     _critical_values,
+    _kind_bit,
     _measures,
     _relative_risks,
-    subset_agrees,
+    _verdict_row,
     subset_mask,
 )
 
@@ -143,7 +144,7 @@ def _directions(
 
 def modification_direction(strata: StratifiedRisks, kind: MeasureKind) -> Direction:
     """Compare one measure across the two strata as extended reals."""
-    return _directions(strata)[kind.bit]
+    return _directions(strata)[_kind_bit(kind)]
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ class AgreementReport:
         return self.subset_verdicts[_ALL_SIX_MASK]
 
     def pair_agrees(self, kind_a: MeasureKind, kind_b: MeasureKind) -> bool:
-        return self.subset_verdicts[(1 << kind_a.bit) | (1 << kind_b.bit)]
+        return self.subset_verdicts[(1 << _kind_bit(kind_a)) | (1 << _kind_bit(kind_b))]
 
     def subset_agrees(self, kinds: Iterable[MeasureKind]) -> bool:
         return self.subset_verdicts[subset_mask(kinds)]
@@ -178,15 +179,24 @@ _ALL_SIX_MASK = subset_mask(ALL_KINDS)
 
 
 def agree(strata: StratifiedRisks) -> AgreementReport:
-    """Analyse the agreement of all six measures across the strata."""
-    directions = dict(zip(ALL_KINDS, _directions(strata)))
-    toward_p = subset_mask(k for k, d in directions.items() if d is Direction.TOWARD_P)
-    toward_q = subset_mask(k for k, d in directions.items() if d is Direction.TOWARD_Q)
-    verdicts = tuple(subset_agrees(toward_p, toward_q, mask) for mask in range(64))
+    """Analyse the agreement of all six measures across the strata.
+
+    The 64 verdicts come from a row cached lazily per direction key (the
+    bitmasks toward P and toward Q), so reports with the same key share one
+    immutable tuple; the fired conditions are shared constants.
+    """
+    directions = _directions(strata)
+    toward_p = toward_q = 0
+    for bit, direction in enumerate(directions):
+        if direction is Direction.TOWARD_P:
+            toward_p |= 1 << bit
+        elif direction is Direction.TOWARD_Q:
+            toward_q |= 1 << bit
+    verdicts = _verdict_row(toward_p, toward_q)
     fired = sufficient_conditions(strata) if strata.is_strict else ()
     return AgreementReport(
         strata=strata,
-        directions=directions,
+        directions=dict(zip(ALL_KINDS, directions)),
         subset_verdicts=verdicts,
         rr_gate_fired=verdicts[_RR_GATE_MASK],
         fired_conditions=fired,
@@ -222,9 +232,7 @@ def critical_p4(p1: float, p2: float, p3: float, kind: MeasureKind) -> float:
 
 def _entry(values: tuple[float, ...], kind: MeasureKind) -> float:
     """The critical value of `kind` in a table from _critical_values."""
-    if not isinstance(kind, MeasureKind):
-        raise InputValidationError(f"unknown measure kind {kind!r}")
-    return values[kind.bit]
+    return values[_kind_bit(kind)]
 
 
 @dataclass(frozen=True)
@@ -301,14 +309,6 @@ def disagreement_window(
 # conditions admit counterexamples, so the full hypotheses are kept here
 # (see the tests for a refuting quadruple per dropped hypothesis).
 
-_LABELINGS: tuple[tuple[str, tuple[int, int, int, int]], ...] = (
-    ("identity", (0, 1, 2, 3)),
-    ("swap_strata", (2, 3, 0, 1)),
-    ("swap_groups", (1, 0, 3, 2)),
-    ("swap_both", (3, 2, 1, 0)),
-)
-
-
 @dataclass(frozen=True)
 class FiredCondition:
     """One sufficient condition that applies to the given strata.
@@ -380,21 +380,29 @@ _CONDITIONS: tuple[tuple[str, object, frozenset[MeasureKind]], ...] = (
     ("rr-and-rd", _rr_rd, frozenset({MeasureKind.RR, MeasureKind.RD})),
 )
 
+# Per labeling, in sufficient_conditions' order, each predicate with the one
+# FiredCondition it reports.
+_FIRED = tuple(
+    tuple((test, FiredCondition(name, label, forces)) for name, test, forces in _CONDITIONS)
+    for label in ("identity", "swap_strata", "swap_groups", "swap_both")
+)
+
 
 def sufficient_conditions(strata: StratifiedRisks) -> tuple[FiredCondition, ...]:
     """Inequality-only screens that force agreement of specific measures.
 
     Returns every (condition, labeling) that applies. These are
     sufficient, not necessary: strata whose measures all agree may fire
-    nothing. Conclusions never contradict the computed directions.
+    nothing. Conclusions never contradict the computed directions. The
+    FiredConditions are shared constants, built at import.
     """
     if not strata.is_strict:
         raise InputValidationError("sufficient conditions need strict risks")
-    risks = (strata.p1, strata.p2, strata.p3, strata.p4)
+    p1, p2, p3, p4 = strata.p1, strata.p2, strata.p3, strata.p4
+    labeled = ((p1, p2, p3, p4), (p3, p4, p1, p2), (p2, p1, p4, p3), (p4, p3, p2, p1))
     fired: list[FiredCondition] = []
-    for label, perm in _LABELINGS:
-        q1, q2, q3, q4 = (risks[i] for i in perm)
-        for name, predicate, forces in _CONDITIONS:
-            if predicate(q1, q2, q3, q4):
-                fired.append(FiredCondition(name=name, labeling=label, forces=forces))
+    for risks, conditions in zip(labeled, _FIRED):
+        for predicate, condition in conditions:
+            if predicate(*risks):
+                fired.append(condition)
     return tuple(fired)

@@ -50,7 +50,7 @@ from .agreement import (
     critical_values,
     disagreement_window,
 )
-from .inference import CountTable, estimate_rrr, from_counts, modification_test
+from .inference import CountTable, _checked_risks, _estimate, _verdict, _z, from_counts
 from .casestudies import CASE_NAMES, case_study
 from .dataio import _ROW_ORDER, load_strata
 from .report import VERSION, ReportEnvelope
@@ -489,11 +489,11 @@ def _cmd_test_modification(args: argparse.Namespace) -> ReportEnvelope:
             "test-modification needs a counts file (stratum,group,events,total)"
         )
     correct = args.correct_degenerate
-    strata = from_counts(loaded, correct)
-    estimate = estimate_rrr(loaded, correct)
-    verdict = modification_test(loaded, args.alpha, correct)
+    risks = _checked_risks(loaded, correct)  # a degenerate cell before a bad alpha
+    estimate = _estimate(loaded, risks)
+    verdict = _verdict(estimate, args.alpha, _z(args.alpha))
     results = {
-        "risks": _risk_inputs(strata.p1, strata.p2, strata.p3, strata.p4),
+        "risks": _risk_inputs(*risks),
         "log_rrr1": estimate.log_rrr1,
         "log_rrr2": estimate.log_rrr2,
         "se1": estimate.se1,

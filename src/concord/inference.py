@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 
 from .errors import DegenerateCell, InputValidationError
@@ -145,15 +146,24 @@ class RRREstimate:
 
 def estimate_rrr(table: CountTable, correct_degenerate: bool = False) -> RRREstimate:
     """Point estimates and delta-method covariance of the two log RRRs."""
-    p1, p2, p3, p4 = _checked_risks(table, correct_degenerate)
-    totals = [cell.total for cell in table.cells]
+    return _estimate(table, _checked_risks(table, correct_degenerate))
+
+
+def _estimate(table: CountTable, risks: tuple[float, float, float, float]) -> RRREstimate:
+    """estimate_rrr of a table whose risks _checked_risks returned."""
+    p1, p2, p3, p4 = risks
+    n1, n2, n3, n4 = [cell.total for cell in table.cells]
     log_rrr1 = math.log(p2) + math.log(p3) - math.log(p1) - math.log(p4)
     log_rrr2 = (
         math.log1p(-p1) + math.log1p(-p4) - math.log1p(-p2) - math.log1p(-p3)
     )
-    var1 = sum((1.0 - p) / (n * p) for p, n in zip((p1, p2, p3, p4), totals))
-    var2 = sum(p / (n * (1.0 - p)) for p, n in zip((p1, p2, p3, p4), totals))
-    cov = sum(1.0 / n for n in totals)
+    # the module docstring's sums over literal tuples: unlike a chain of +, sum()
+    # rounds as it did over generators on every Python (3.12 compensates it)
+    var1 = sum(((1.0 - p1) / (n1 * p1), (1.0 - p2) / (n2 * p2),
+                (1.0 - p3) / (n3 * p3), (1.0 - p4) / (n4 * p4)))
+    var2 = sum((p1 / (n1 * (1.0 - p1)), p2 / (n2 * (1.0 - p2)),
+                p3 / (n3 * (1.0 - p3)), p4 / (n4 * (1.0 - p4))))
+    cov = sum((1.0 / n1, 1.0 / n2, 1.0 / n3, 1.0 / n4))
     return RRREstimate(
         log_rrr1=log_rrr1,
         log_rrr2=log_rrr2,
@@ -187,18 +197,25 @@ def modification_test(
     Rejects when both intervals exclude 0 on the same side; the returned
     region is the pair of log-scale intervals.
     """
+    z = _z(alpha)  # a bad alpha is reported before the counts are read
+    return _verdict(estimate_rrr(table, correct_degenerate), alpha, z)
+
+
+_normal_quantile = lru_cache(maxsize=64)(NormalDist().inv_cdf)
+
+
+def _z(alpha: float) -> float:
+    """The normal quantile at 1 - alpha/4, once alpha is checked."""
     if not 0.0 < alpha < 1.0:
         raise InputValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    estimate = estimate_rrr(table, correct_degenerate)
-    z = NormalDist().inv_cdf(1.0 - alpha / 4.0)
-    interval1 = (
-        estimate.log_rrr1 - z * estimate.se1,
-        estimate.log_rrr1 + z * estimate.se1,
-    )
-    interval2 = (
-        estimate.log_rrr2 - z * estimate.se2,
-        estimate.log_rrr2 + z * estimate.se2,
-    )
+    return _normal_quantile(1.0 - alpha / 4.0)
+
+
+def _verdict(estimate: RRREstimate, alpha: float, z: float) -> TestVerdict:
+    """The test's verdict on an estimate at level alpha, with z = _z(alpha)."""
+    se1, se2 = estimate.se1, estimate.se2
+    interval1 = (estimate.log_rrr1 - z * se1, estimate.log_rrr1 + z * se1)
+    interval2 = (estimate.log_rrr2 - z * se2, estimate.log_rrr2 + z * se2)
     if interval1[0] > 0.0 and interval2[0] > 0.0:
         direction = TestDirection.BOTH_ABOVE
     elif interval1[1] < 0.0 and interval2[1] < 0.0:

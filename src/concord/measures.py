@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 from .errors import InputValidationError, UndefinedMeasure
@@ -92,11 +93,18 @@ _KIND_ORDER: tuple[MeasureKind, ...] = (
 ALL_KINDS: tuple[MeasureKind, ...] = _KIND_ORDER
 
 
+def _kind_bit(kind: MeasureKind) -> int:
+    """kind.bit, with InputValidationError when kind is not a MeasureKind."""
+    if not isinstance(kind, MeasureKind):
+        raise InputValidationError(f"unknown measure kind {kind!r}")
+    return kind.bit
+
+
 def subset_mask(kinds: Iterable[MeasureKind]) -> int:
     """Bitmask for a measure subset; bit i refers to ALL_KINDS[i]."""
     mask = 0
     for kind in kinds:
-        mask |= 1 << kind.bit
+        mask |= 1 << _kind_bit(kind)
     return mask
 
 
@@ -113,6 +121,13 @@ def subset_agrees(toward_p, toward_q, mask):
     it contains a measure from each. Works elementwise on integer arrays.
     """
     return ((toward_p & mask) == 0) | ((toward_q & mask) == 0)
+
+
+@cache
+def _verdict_row(toward_p: int, toward_q: int) -> tuple[bool, ...]:
+    """The 64 subset verdicts of a direction key, by mask; built once per key
+    on first use (at most 3**6 = 729 disjoint keys)."""
+    return tuple(subset_agrees(toward_p, toward_q, mask) for mask in range(64))
 
 
 @dataclass(frozen=True)
@@ -256,7 +271,7 @@ def measure(pair: RiskPair, kind: MeasureKind) -> float:
     Boundary risks produce the one-sided limit of the formula; a pair
     with both risks at the same boundary raises UndefinedMeasure.
     """
-    return _measures(pair)[kind.bit]
+    return _measures(pair)[_kind_bit(kind)]
 
 
 @dataclass(frozen=True)

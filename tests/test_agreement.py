@@ -2,11 +2,13 @@
 inequality-only sufficient conditions."""
 
 import dataclasses
+import itertools
 import math
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from concord import agreement
 from concord.agreement import (
     AgreementReport,
     CriticalValues,
@@ -23,7 +25,15 @@ from concord.agreement import (
     sufficient_conditions,
 )
 from concord.errors import InputValidationError
-from concord.measures import ALL_KINDS, MeasureKind, RiskPair, measure
+from concord.measures import (
+    ALL_KINDS,
+    MeasureKind,
+    RiskPair,
+    _verdict_row,
+    measure,
+    subset_agrees,
+    subset_mask,
+)
 
 RR = MeasureKind.RR
 RR_STAR = MeasureKind.RR_STAR
@@ -164,6 +174,26 @@ def test_subset_agrees_matches_verdicts():
     assert report.subset_agrees([RR, OR]) == report.subset_verdicts[
         (1 << RR.bit) | (1 << OR.bit)
     ]
+
+
+def test_verdict_row_for_every_direction_key(monkeypatch):
+    # all 3**6 disjoint (toward_p, toward_q) keys: the cached row, the
+    # simulator's agreement rows and agree() give the same 64 verdicts
+    from concord.montecarlo import _agreement_rows
+
+    rows = _agreement_rows()
+    keys = list(itertools.product(Direction, repeat=6))
+    assert len(keys) == 729
+    for directions in keys:
+        toward_p, toward_q = (
+            subset_mask(k for k, d in zip(ALL_KINDS, directions) if d is side)
+            for side in (Direction.TOWARD_P, Direction.TOWARD_Q)
+        )
+        row = _verdict_row(toward_p, toward_q)
+        assert row == tuple(subset_agrees(toward_p, toward_q, mask) for mask in range(64))
+        assert row == tuple(rows[:, toward_p << 6 | toward_q].tolist())
+        monkeypatch.setattr(agreement, "_directions", lambda strata: directions)
+        assert agree(TEXTBOOK).subset_verdicts is row
 
 
 def test_agrees_reads_the_all_six_verdict():
@@ -380,8 +410,19 @@ def test_critical_rejects_non_strict_inputs(bad):
     [
         lambda: critical_p4(0.1, 0.2, 0.3, "RR"),
         lambda: disagreement_window(0.1, 0.2, 0.3, "RR", OR),
+        lambda: modification_direction(TEXTBOOK, "RR"),
+        lambda: agree(TEXTBOOK).pair_agrees("RR", OR),
+        lambda: agree(TEXTBOOK).subset_agrees([OR, "RR"]),
+        lambda: measure(RiskPair(0.1, 0.2), "RR"),
     ],
-    ids=["critical_p4", "disagreement_window"],
+    ids=[
+        "critical_p4",
+        "disagreement_window",
+        "modification_direction",
+        "pair_agrees",
+        "subset_agrees",
+        "measure",
+    ],
 )
 def test_kind_that_is_not_a_measure_kind_is_an_input_error(call):
     with pytest.raises(InputValidationError, match="unknown measure kind 'RR'"):

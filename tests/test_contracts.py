@@ -12,14 +12,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from adversarial import quadruples, strict_triples
 from concord.agreement import (
+    _CONDITIONS,
+    Direction,
+    FiredCondition,
     StratifiedRisks,
     agree,
     critical_p4,
     critical_values,
     disagreement_window,
 )
-from concord.errors import ConcordError
-from concord.measures import ALL_KINDS, MeasureKind
+from concord.errors import ConcordError, DegenerateCell
+from concord.inference import CountTable, estimate_rrr
+from concord.measures import ALL_KINDS, MeasureKind, subset_agrees, subset_mask
 
 RR, RR_STAR = MeasureKind.RR, MeasureKind.RR_STAR
 
@@ -94,3 +98,63 @@ def test_only_concord_errors_escape(risks, kinds):
     ca, cb = (values.value(kind) for kind in kinds)
     assert window.lower == max(0.0, min(ca, cb))
     assert window.upper == min(1.0, max(ca, cb))
+
+
+LABELINGS = (
+    ("identity", (0, 1, 2, 3)),
+    ("swap_strata", (2, 3, 0, 1)),
+    ("swap_groups", (1, 0, 3, 2)),
+    ("swap_both", (3, 2, 1, 0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadruples())
+@pinned()
+def test_agree_equals_the_loop_reference(risks):
+    # the verdicts from subset_agrees mask by mask, and a new FiredCondition
+    # for each (labeling, condition) that fires
+    strata = StratifiedRisks.from_probs(*risks)
+    try:
+        report = agree(strata)
+    except ConcordError:
+        return
+    toward_p, toward_q = (
+        subset_mask(k for k, d in report.directions.items() if d is side)
+        for side in (Direction.TOWARD_P, Direction.TOWARD_Q)
+    )
+    verdicts = tuple(subset_agrees(toward_p, toward_q, mask) for mask in range(64))
+    assert report.subset_verdicts == verdicts
+    fired = ()
+    if strata.is_strict:
+        fired = tuple(
+            FiredCondition(name=name, labeling=label, forces=forces)
+            for label, perm in LABELINGS
+            for name, predicate, forces in _CONDITIONS
+            if predicate(*(risks[i] for i in perm))
+        )
+    assert report.fired_conditions == fired
+
+
+totals = st.one_of(st.integers(1, 100), st.integers(1, 2**53))
+cells = totals.flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(cells, cells, cells, cells), st.booleans())
+def test_estimate_rrr_equals_the_sum_forms_exactly(counts, corrected):
+    table = CountTable.from_ints(counts)
+    try:
+        estimate = estimate_rrr(table, corrected)
+    except DegenerateCell:
+        return
+    p1, p2, p3, p4 = table.risks(corrected)
+    ns = [cell.total for cell in table.cells]
+    var1 = sum((1.0 - p) / (n * p) for p, n in zip((p1, p2, p3, p4), ns))
+    var2 = sum(p / (n * (1.0 - p)) for p, n in zip((p1, p2, p3, p4), ns))
+    cov = sum(1.0 / n for n in ns)
+    assert estimate.covariance == ((var1, cov), (cov, var2))
+    assert estimate.log_rrr1 == math.log(p2) + math.log(p3) - math.log(p1) - math.log(p4)
+    assert estimate.log_rrr2 == (
+        math.log1p(-p1) + math.log1p(-p4) - math.log1p(-p2) - math.log1p(-p3)
+    )
