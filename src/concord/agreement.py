@@ -14,7 +14,18 @@ ties a finite value. The Monte Carlo simulator compares exactly instead,
 because its draws are continuous: applying the band there changed no
 count in 24 runs of 1e6 trials (seeds 0-11, uniform and tent risks) but
 made each run about 1.8 times slower on a 2-CPU machine. Outside the
-band both paths give the same directions.
+band both paths give the same directions, except where the repair below
+changes them.
+
+The band can contradict the gate theorem (RR and RR* agree, so all six
+agree): RR can overflow to the same infinity in both strata, or tie
+within the band near 1, while two other measures still conflict. When
+the banded directions say so, RR and RR* are compared exactly instead,
+as rationals by cross-multiplication. If they conflict exactly, their
+exact directions stand and the gate does not fire. If they do not, the
+theorem proves the other conflict an artifact of rounding, and each
+measure that opposes RR and RR* becomes Null (every measure, when both
+tie exactly).
 
 Two measures disagree when one points TowardP and the other TowardQ;
 Null agrees with everything. A set of measures agrees when no pair inside
@@ -31,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import InputValidationError
@@ -124,10 +136,10 @@ class StratifiedRisks:
         return self.stratum_p.is_strict and self.stratum_q.is_strict
 
 
-def _directions(
+def _banded_directions(
     strata: StratifiedRisks, measures: Callable[[RiskPair], tuple] = _measures
 ) -> tuple[Direction, ...]:
-    """Directions of the measures that `measures` gives each stratum.
+    """Banded float directions of the measures that `measures` gives each stratum.
 
     The default compares all six in ALL_KINDS order; rr_gate passes
     _gate_pair, which gives the leading two.
@@ -140,6 +152,46 @@ def _directions(
         else Direction.TOWARD_Q if q > p else Direction.TOWARD_P
         for p, q in zip(em_p, em_q)
     )
+
+
+def _directions(strata: StratifiedRisks) -> tuple[Direction, ...]:
+    """Directions of all six measures, in ALL_KINDS order.
+
+    The banded directions, repaired where they break the gate theorem (see
+    the module docstring).
+    """
+    directions = _banded_directions(strata)
+    if (
+        Direction.TOWARD_P in directions
+        and Direction.TOWARD_Q in directions
+        and directions[0].agrees_with(directions[1])
+    ):
+        return _exact_gate_repair(strata, directions)
+    return directions
+
+
+def _exact_gate_repair(
+    strata: StratifiedRisks, directions: tuple[Direction, ...]
+) -> tuple[Direction, ...]:
+    """Directions that keep the gate theorem when the banded ones break it."""
+    p1, p2, p3, p4 = (Fraction(p) for p in (strata.p1, strata.p2, strata.p3, strata.p4))
+    # EM_Q > EM_P for a ratio n/d of non-negative parts, including the
+    # limits d -> 0, is n_Q * d_P > n_P * d_Q
+    d_rr = _exact_direction(p4 * p1, p2 * p3)
+    d_rr_star = _exact_direction((1 - p3) * (1 - p2), (1 - p1) * (1 - p4))
+    if not d_rr.agrees_with(d_rr_star):
+        return (d_rr, d_rr_star, *directions[2:])
+    common = d_rr if d_rr is not Direction.NULL else d_rr_star
+    return (d_rr, d_rr_star) + tuple(
+        d if common is not Direction.NULL and d.agrees_with(common) else Direction.NULL
+        for d in directions[2:]
+    )
+
+
+def _exact_direction(q: Fraction, p: Fraction) -> Direction:
+    if q == p:
+        return Direction.NULL
+    return Direction.TOWARD_Q if q > p else Direction.TOWARD_P
 
 
 def modification_direction(strata: StratifiedRisks, kind: MeasureKind) -> Direction:
@@ -207,9 +259,14 @@ def rr_gate(strata: StratifiedRisks) -> bool:
     """True when the two relative risks do not conflict.
 
     When the gate fires, all six measures agree; only RR and RR* are
-    compared here, which is what makes the gate a cheap screen.
+    compared here, which is what makes the gate a cheap screen. A banded
+    direction outside the band is exact (RR is one rounding of the exact
+    ratio, RR* two, each far inside the band), so only a Null can hide an
+    exact conflict; then the answer is the one agree() reports.
     """
-    d_rr, d_rr_star = _directions(strata, _gate_pair)
+    d_rr, d_rr_star = _banded_directions(strata, _gate_pair)
+    if d_rr is Direction.NULL or d_rr_star is Direction.NULL:
+        d_rr, d_rr_star = _directions(strata)[:2]
     return d_rr.agrees_with(d_rr_star)
 
 

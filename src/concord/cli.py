@@ -456,12 +456,11 @@ def _cmd_simulate(args: argparse.Namespace) -> ReportEnvelope:
 
 
 def _cmd_exact(args: argparse.Namespace) -> ReportEnvelope:
-    from .quadrature import Region, region_a_parts, region_probability, sum_estimates
+    from .quadrature import Region, _all_estimates, sum_estimates
 
-    regions = {
-        region.value: region_probability(region, args.resolution) for region in Region
-    }
-    parts = region_a_parts(args.resolution)
+    estimates = _all_estimates(args.resolution, parts=(1, 2, 3))
+    regions = {region.value: estimate for region, estimate in zip(Region, estimates)}
+    parts = estimates[4:]
     # vars() of a QuadratureEstimate is its fields in order: the dict that
     # dataclasses.asdict makes, without asdict's deep copy of every field
     results = {
@@ -558,10 +557,17 @@ def _cmd_case(args: argparse.Namespace) -> ReportEnvelope:
     return ReportEnvelope(command=args.command, inputs={"name": args.name}, results=results)
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    # One parser per process, built on the first call: its 56 add_argument calls
+    # each make a HelpFormatter that calls shutil.get_terminal_size, 1-2 ms in all.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1

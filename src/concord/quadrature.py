@@ -42,15 +42,16 @@ accurate to a few roundings, relative.
 
 The outer integral is the midpoint rule on an n^2 grid, mapped onto each
 region by a box transform so the grid never touches the singular planes;
-it converges as O(h^2). The grid is evaluated in blocks of p1 rows of
-about 8k points each. Each sum allocates its scratch once, as one float
-array (p2, the value row and the inner integral's temporary), and every
-block writes into it through out=, so the heap does not grow and shrink
-from block to block. The float operations are those of fresh temporaries,
-in the same order, so every value is bit-identical to an allocating
-evaluation. The reported error bound is the difference from the
-half-resolution estimate; the error of `total_probability` is the sum of
-the four region errors.
+it converges as O(h^2). One pass sums all inner integrals of a box: p2
+above p1 for A, C and the region-A parts, below it for B and D. It walks
+blocks of p1 rows of about 8k points in one scratch allocation (p2, the
+value row and an inner's temporary); each block builds its p2 grid once
+and every inner reads it and writes through out=, so the heap does not grow
+and shrink from block to block. The float operations are those of fresh
+temporaries, in the same order, so each inner's sum is bit-identical to
+an allocating evaluation of it alone. The reported error bound is the
+difference from the half-resolution estimate; the error of
+`total_probability` is the sum of the four region errors.
 """
 
 from __future__ import annotations
@@ -182,20 +183,22 @@ def _part_inner(
     return np.multiply(0.5 * (1.0 - p1), np.add(1.0, p2, out=out), out=out)
 
 
-def _grid_sum(inner: Callable[..., np.ndarray], p2_below: bool, cells: int) -> float:
-    """Midpoint sum over (p1, p2) of the p2-range width times inner(p1, p2).
+def _grid_sums(
+    inners: list[Callable[..., np.ndarray]], p2_below: bool, cells: int
+) -> list[float]:
+    """Midpoint sums over (p1, p2) of the p2-range width times each inner(p1, p2).
 
     The unit square maps onto the region's box: its first axis is p1, and
     u on its second axis spans the p2 range below or above p1. Rows of p1
     are evaluated in blocks of about _BLOCK_POINTS grid points, all in one
-    scratch allocation: inner(p1, p2, out, work) writes its value row to
-    out and may use the _REGION_WORK buffers in work.
+    scratch allocation. Every inner(p1, p2, out, work) reads the block's p2,
+    writes its value row to out and may use the _REGION_WORK buffers in work.
     """
     mids = (np.arange(cells) + 0.5) / cells
     u = mids[None, :]
     rows = max(1, _BLOCK_POINTS // cells)
     buffers = _scratch((rows, cells), 2 + _REGION_WORK)
-    total = 0.0
+    totals = [0.0] * len(inners)
     for first in range(0, cells, rows):
         p1 = mids[first : first + rows, None]
         n = len(p1)  # the last block may be partial
@@ -204,22 +207,36 @@ def _grid_sum(inner: Callable[..., np.ndarray], p2_below: bool, cells: int) -> f
         np.multiply(width, u, out=p2)
         if not p2_below:
             np.add(p1, p2, out=p2)
-        inner(p1, p2, value, work)
-        total += float(np.multiply(width, value, out=value).sum())
-    return total / cells**2
+        for i, inner in enumerate(inners):
+            inner(p1, p2, value, work)
+            totals[i] += float(np.multiply(width, value, out=value).sum())
+    return [total / cells**2 for total in totals]
 
 
-def _with_error(evaluate: Callable[[int], float], cells: int) -> QuadratureEstimate:
-    """Evaluate on `cells` cells per axis, reporting the refinement error."""
+def _estimates(
+    inners: list[Callable[..., np.ndarray]], p2_below: bool, cells: int
+) -> list[QuadratureEstimate]:
+    """Each inner's sum on `cells` cells per axis, reporting the refinement error."""
     if not float(cells).is_integer() or not _MIN_CELLS <= cells <= _MAX_CELLS:
         raise ResolutionError(
             f"grid scheme needs an integer resolution >= {_MIN_CELLS} and"
             f" <= {_MAX_CELLS}, got {cells!r}"
         )
     cells = int(cells)
-    coarse = evaluate(cells // 2)
-    fine = evaluate(cells)
-    return QuadratureEstimate(value=fine, error=abs(fine - coarse), resolution=cells)
+    coarse = _grid_sums(inners, p2_below, cells // 2)
+    fine = _grid_sums(inners, p2_below, cells)
+    return [QuadratureEstimate(f, abs(f - c), cells) for c, f in zip(coarse, fine)]
+
+
+def _all_estimates(resolution: int, parts: Iterable[int] = ()) -> list[QuadratureEstimate]:
+    """Regions A, B, C, D, then the given region-A parts, in one pass per box."""
+    above = [partial(_region_inner, Region.A), partial(_region_inner, Region.C)]
+    a, c, *part_estimates = _estimates(
+        [*above, *(partial(_part_inner, part) for part in parts)], False, resolution
+    )
+    below = [partial(_region_inner, Region.B), partial(_region_inner, Region.D)]
+    b, d = _estimates(below, True, resolution)
+    return [a, b, c, d, *part_estimates]
 
 
 def region_probability(region: Region, resolution: int = 256) -> QuadratureEstimate:
@@ -229,13 +246,12 @@ def region_probability(region: Region, resolution: int = 256) -> QuadratureEstim
     16384.
     """
     p2_below = region in (Region.B, Region.D)
-    evaluate = partial(_grid_sum, partial(_region_inner, region), p2_below)
-    return _with_error(evaluate, resolution)
+    return _estimates([partial(_region_inner, region)], p2_below, resolution)[0]
 
 
 def total_probability(resolution: int = 256) -> QuadratureEstimate:
     """Integral over all four regions (exactly 1/6)."""
-    return sum_estimates(region_probability(region, resolution) for region in Region)
+    return sum_estimates(_all_estimates(resolution))
 
 
 def sum_estimates(estimates: Iterable[QuadratureEstimate]) -> QuadratureEstimate:
@@ -257,7 +273,5 @@ def region_a_parts(
     critical-value term, so part1 + part2 - part3 equals the region A
     integral (1/24).
     """
-    return tuple(
-        _with_error(partial(_grid_sum, partial(_part_inner, part), False), resolution)
-        for part in (1, 2, 3)
-    )  # type: ignore[return-value]
+    inners = [partial(_part_inner, part) for part in (1, 2, 3)]
+    return tuple(_estimates(inners, False, resolution))  # type: ignore[return-value]

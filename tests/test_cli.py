@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import concord
+from concord import cli
 from concord.cli import main
+from concord.errors import ResolutionError
+from concord.quadrature import Region, region_a_parts, region_probability, total_probability
 from concord.report import ReportEnvelope
 
 RISKS_CSV = """\
@@ -331,6 +334,37 @@ def test_exact_rejects_resolution_above_the_cap(capsys, resolution):
     assert err.startswith("error: grid scheme needs") and "<= 16384" in err
 
 
+@pytest.mark.parametrize("resolution", [8, 9, 255, 256])
+def test_exact_equals_the_public_functions(tmp_path, resolution):
+    # exact's two box passes give the bits of one public call per integral
+    out_path = tmp_path / "exact.json"
+    assert main(["exact", "--resolution", str(resolution), "--out", str(out_path)]) == 0
+    results = json.loads(out_path.read_text())["results"]
+    assert results["regions"] == {
+        region.value: vars(region_probability(region, resolution)) for region in Region
+    }
+    assert results["total"] == vars(total_probability(resolution))
+    parts = region_a_parts(resolution)
+    assert results["region_a_parts"] == {
+        f"part{i}": vars(part) for i, part in enumerate(parts, start=1)
+    }
+
+
+@pytest.mark.parametrize("resolution", [4, 0, 2**14 + 1])
+def test_resolution_errors_are_unchanged(capsys, resolution):
+    message = f"grid scheme needs an integer resolution >= 8 and <= 16384, got {resolution}"
+    for estimate in (lambda n: region_probability(Region.D, n), total_probability, region_a_parts):
+        with pytest.raises(ResolutionError) as info:
+            estimate(resolution)
+        assert str(info.value) == message
+    code, out, err = run_cli(capsys, "exact", "--resolution", str(resolution))
+    assert code == 1 and out == ""
+    if resolution == 0:  # the parser's positive-integer check comes first
+        assert err.endswith("error: argument --resolution: expected a positive integer, got 0\n")
+    else:
+        assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # test-modification
 
@@ -498,6 +532,55 @@ def test_version_and_help_exit_0(capsys):
     capsys.readouterr()
 
 
+SUBCOMMANDS = ["measures", "agree", "critical", "window", "simulate", "exact",
+               "test-modification", "case"]  # fmt: skip
+
+
+def run_sequence(capsys, monkeypatch, fresh_parser):
+    """(exit code, stdout, stderr) of a fixed run of main calls.
+
+    CONCORD_SEED is set until the first simulate has run, so that a reused
+    parser is built while it is set. With fresh_parser, main builds a new
+    parser for every call.
+    """
+    with_seed = [
+        ["--help"],
+        *([command, "--help"] for command in SUBCOMMANDS),
+        ["agree", "--bogus"],
+        ["exact", "--digits", "x"],
+        ["exact", "--resolution", "4"],
+        ["simulate", "--trials", "10"],
+    ]
+    without_seed = [
+        ["simulate", "--trials", "10"],
+        ["agree"],
+        ["agree", "--p1", "0.7", "--p2", "0.9", "--p3", "0.2", "--p4", "0.3"],
+    ]
+
+    def call(argv):
+        if fresh_parser:
+            monkeypatch.setattr(cli, "_parser", None)
+        return run_cli(capsys, *argv)
+
+    monkeypatch.setenv("CONCORD_SEED", "17")
+    outcomes = [call(argv) for argv in with_seed]
+    monkeypatch.delenv("CONCORD_SEED")
+    return outcomes + [call(argv) for argv in without_seed]
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    reference = run_sequence(capsys, monkeypatch, fresh_parser=True)
+    assert json.loads(reference[-4][1])["seed"] == 17
+    assert json.loads(reference[-3][1])["seed"] == 0
+    monkeypatch.setattr(cli, "_parser", None)
+    first = run_sequence(capsys, monkeypatch, fresh_parser=False)
+    parser = cli._parser
+    second = run_sequence(capsys, monkeypatch, fresh_parser=False)
+    assert cli._parser is parser
+    assert first == reference and second == reference
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_no_arguments_exits_1(capsys):
     assert main([]) == 1
     assert main(["not-a-command"]) == 1
@@ -552,6 +635,24 @@ def test_light_commands_do_not_load_numpy(tmp_path, argv):
     proc = run_python(tmp_path, "-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [(["simulate", "--trials", "1"], "concord.quadrature"),
+     (["exact", "--resolution", "8"], "concord.montecarlo")],
+    ids=["simulate", "exact"],
+)  # fmt: skip
+def test_numpy_commands_load_only_their_own_module(tmp_path, argv, unused):
+    # and importing concord.cli builds no parser
+    code = (
+        "import sys, concord.cli; built = concord.cli._parser is not None; "
+        "code = concord.cli.main(sys.argv[1:]); "
+        f"print(built, {unused!r} in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    proc = run_python(tmp_path, "-c", code, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False False"
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from concord.agreement import (
     critical_p4,
     critical_values,
     disagreement_window,
+    rr_gate,
 )
 from concord.errors import ConcordError, DegenerateCell
 from concord.inference import CountTable, estimate_rrr
@@ -35,6 +36,19 @@ RECORDED = [
     (0.25, 5e-324, 0.5, 5e-324),
     # RR* is 1.0 in both strata
     (6.355618645054581e-47, 2.4941518327783792e-54, 2.4941518327783792e-54, 0.0),
+]
+
+# the RR/RR* gate fired while two other measures conflicted, before the
+# exact RR/RR* comparison (RR or RR* ties in the band, or overflows to the
+# same infinity in both strata)
+GATE_BREAKERS = [
+    (6.355618645054581e-47, 2.4941518327783792e-54, 2.4941518327783792e-54, 0.0),
+    (3.846279244570397e-274, 0.0, 5.892614434230212e-28, 3.846279244570397e-274),
+    (3.244690553810549e-159, 0.0, 3.026936338058996e-117, 3.244690553810549e-159),
+    (0.0, 0.5, 2.225073858507e-311, 0.75),
+    (0.9999999999999262, 0.9999999999999295, 0.9999999999999382, 0.9999999999999414),
+    (1.0, 0.9999999999995441, 0.9999999999996408, 0.999999999999147),
+    (2.2250738585e-313, 0.5, 0.0, 0.25),
 ]
 
 kind_pairs = st.tuples(st.sampled_from(ALL_KINDS), st.sampled_from(ALL_KINDS))
@@ -62,6 +76,29 @@ def test_swapping_strata_flips_every_direction(risks):
         with pytest.raises(type(exc)):
             agree(StratifiedRisks.from_probs(p3, p4, p1, p2))
         return
+    swapped = agree(StratifiedRisks.from_probs(p3, p4, p1, p2))
+    for kind in ALL_KINDS:
+        assert swapped.directions[kind] is report.directions[kind].flipped, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadruples())
+@pinned()
+def test_gate_forces_all_six_on_every_input(risks):
+    try:
+        report = agree(StratifiedRisks.from_probs(*risks))
+    except ConcordError:
+        return
+    if report.rr_gate_fired:
+        assert report.agrees, report.directions
+    assert report.rr_gate_fired == rr_gate(report.strata)
+
+
+@pytest.mark.parametrize("risks", GATE_BREAKERS)
+def test_gate_breakers_keep_the_theorem_and_the_swap(risks):
+    p1, p2, p3, p4 = risks
+    report = agree(StratifiedRisks.from_probs(p1, p2, p3, p4))
+    assert not report.rr_gate_fired or report.agrees, report.directions
     swapped = agree(StratifiedRisks.from_probs(p3, p4, p1, p2))
     for kind in ALL_KINDS:
         assert swapped.directions[kind] is report.directions[kind].flipped, kind

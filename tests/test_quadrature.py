@@ -3,7 +3,7 @@
 import math
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -278,7 +278,7 @@ def test_refinement_shrinks_the_error():
 
 
 # ---------------------------------------------------------------------------
-# the scratch-buffer grid against the allocating form it replaced
+# the shared-scratch grid pass against the allocating form it replaced
 
 
 def _unscratched_region_inner(region, p1, p2):
@@ -324,13 +324,34 @@ INNERS = [
 ]  # fmt: skip
 
 
+ALL_INNERS = [inner for _, inner, _ in INNERS]
+
+
+@cache
+def _seven_inner_sums(p2_below, cells):
+    """One pass over the box with all seven inners, shared by the rows below."""
+    return quadrature._grid_sums(ALL_INNERS, p2_below, cells)
+
+
 @pytest.mark.parametrize("cells", [8, 100, 257, 3000])  # partial last blocks, and rows=2
 @pytest.mark.parametrize("p2_below", [False, True])
 @pytest.mark.parametrize("name, inner, unscratched", INNERS, ids=[i[0] for i in INNERS])
 def test_scratch_grid_sum_is_bit_identical(name, inner, unscratched, p2_below, cells):
-    assert quadrature._grid_sum(inner, p2_below, cells) == _unscratched_grid_sum(
-        unscratched, p2_below, cells
+    # each inner's sum from the shared pass equals its own allocating sum
+    assert _seven_inner_sums(p2_below, cells)[ALL_INNERS.index(inner)] == (
+        _unscratched_grid_sum(unscratched, p2_below, cells)
     )
+
+
+@pytest.mark.parametrize("cells", [8, 257])
+@pytest.mark.parametrize("p2_below", [False, True])
+@pytest.mark.parametrize("name, inner, unscratched", INNERS, ids=[i[0] for i in INNERS])
+def test_inner_sum_alone_equals_its_sum_among_the_others(
+    name, inner, unscratched, p2_below, cells
+):
+    # no inner corrupts the shared p2 grid for the inners after it
+    (alone,) = quadrature._grid_sums([inner], p2_below, cells)
+    assert alone == _seven_inner_sums(p2_below, cells)[ALL_INNERS.index(inner)]
 
 
 @pytest.mark.parametrize("p2_below", [False, True])
