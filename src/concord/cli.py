@@ -458,7 +458,7 @@ def _cmd_simulate(args: argparse.Namespace) -> ReportEnvelope:
 def _cmd_exact(args: argparse.Namespace) -> ReportEnvelope:
     from .quadrature import Region, _all_estimates, sum_estimates
 
-    estimates = _all_estimates(args.resolution, parts=(1, 2, 3))
+    estimates = _all_estimates(args.resolution)
     regions = {region.value: estimate for region, estimate in zip(Region, estimates)}
     parts = estimates[4:]
     # vars() of a QuadratureEstimate is its fields in order: the dict that

@@ -157,13 +157,12 @@ def _estimate(table: CountTable, risks: tuple[float, float, float, float]) -> RR
     log_rrr2 = (
         math.log1p(-p1) + math.log1p(-p4) - math.log1p(-p2) - math.log1p(-p3)
     )
-    # the module docstring's sums over literal tuples: unlike a chain of +, sum()
-    # rounds as it did over generators on every Python (3.12 compensates it)
-    var1 = sum(((1.0 - p1) / (n1 * p1), (1.0 - p2) / (n2 * p2),
-                (1.0 - p3) / (n3 * p3), (1.0 - p4) / (n4 * p4)))
-    var2 = sum((p1 / (n1 * (1.0 - p1)), p2 / (n2 * (1.0 - p2)),
-                p3 / (n3 * (1.0 - p3)), p4 / (n4 * (1.0 - p4))))
-    cov = sum((1.0 / n1, 1.0 / n2, 1.0 / n3, 1.0 / n4))
+    # the module docstring's sums, as chains of + that round alike on every Python
+    var1 = ((1.0 - p1) / (n1 * p1) + (1.0 - p2) / (n2 * p2)
+            + (1.0 - p3) / (n3 * p3) + (1.0 - p4) / (n4 * p4))
+    var2 = (p1 / (n1 * (1.0 - p1)) + p2 / (n2 * (1.0 - p2))
+            + p3 / (n3 * (1.0 - p3)) + p4 / (n4 * (1.0 - p4)))
+    cov = 1.0 / n1 + 1.0 / n2 + 1.0 / n3 + 1.0 / n4
     return RRREstimate(
         log_rrr1=log_rrr1,
         log_rrr2=log_rrr2,

@@ -36,30 +36,45 @@ has a closed form (A's is part1 + part2 - part3 below, simplified):
     A: (p2-p1)(1-p2) / (2 p2)      B: (1-p1)(p1-p2) / (2 p1)
     C: p1(p2-p1) / (2(1-p1))       D: p2(p1-p2) / (2(1-p2))
 
-Each factor is positive inside its region and is taken from p1 and p2
-with at most two roundings, and no rounded values cancel, so each form is
-accurate to a few roundings, relative.
+and so does each region-A part, whose integrand is linear in p3:
 
-The outer integral is the midpoint rule on an n^2 grid, mapped onto each
-region by a box transform so the grid never touches the singular planes;
-it converges as O(h^2). One pass sums all inner integrals of a box: p2
-above p1 for A, C and the region-A parts, below it for B and D. It walks
-blocks of p1 rows of about 8k points in one scratch allocation (p2, the
-value row and an inner's temporary); each block builds its p2 grid once
-and every inner reads it and writes through out=, so the heap does not grow
-and shrink from block to block. The float operations are those of fresh
-temporaries, in the same order, so each inner's sum is bit-identical to
-an allocating evaluation of it alone. The reported error bound is the
-difference from the half-resolution estimate; the error of
-`total_probability` is the sum of the four region errors.
+    part 1, c_rr on (p1, p1/p2):   p1(1-p2)(1+p2) / (2 p2)
+    part 2, 1 on (p1/p2, 1):       (p2-p1) / p2
+    part 3, c_rr* on (p1, 1):      (1-p1)(1+p2) / 2
+
+The outer integral is the midpoint rule on an n^2 grid of box coordinates
+(p1, u), mapped onto each region's box so the grid never touches the
+singular planes; it converges as O(h^2). With q = 1-p1, p2 = p1 + q u
+above the diagonal (A, C and the region-A parts) and p2 = p1 u below it
+(B and D). There p2-p1 = q u, 1-p2 = q(1-u), p1-p2 = p1(1-u) and
+1-p2 = q + p1(1-u), so the p2-range width (q above, p1 below) times each
+inner integral is a p1-only factor times a u-only weight times at most a
+kernel, 1/p2 above and 1/(1-p2) below:
+
+    A: q^3/2 u(1-u) / p2           B: p1 q/2 (1-u)
+    C: p1 q/2 u                    D: p1^3/2 u(1-u) / (1-p2)
+    part 1: p1 q^2/2 (1-u)(1/p2 + 1)
+    part 2: q^2 u / p2             part 3: q^2/2 (1 + p1 + q u)
+
+Every factor is positive and nothing cancels, so each term at a grid
+point is accurate to a few roundings, relative. The sums over u are one
+matmul of each block of kernel rows (about 8k entries, in one buffer, so
+memory stays bounded) against the weight columns, and B, C and part 3
+need only the sums of the weights. Each sum over p1 is one correctly
+rounded math.fsum. The matmul adds in the order of numpy's BLAS
+(OpenBLAS in the numpy wheels), so the last bits of each sum, and of
+`concord exact` at --digits 17, follow its kernel choice for the CPU; they
+do not depend on the block size, which the tests check. The reported
+error bound is the difference from the half-resolution estimate; the
+error of `total_probability` is the sum of the four region errors.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -78,10 +93,10 @@ __all__ = [
 ]
 
 _MIN_CELLS = 8
-# The work grows as cells^2: on a 2-CPU Xeon, `concord exact` took 1.1 s at
-# 4096 cells per axis and 6.6 s at this cap, 2^14, in 30 MB.
+# The work grows as cells^2: on a 2-CPU Xeon, `concord exact` took 0.44 s at
+# 4096 cells per axis and 2.2 s at this cap, 2^14, in 34 MB.
 _MAX_CELLS = 1 << 14
-_BLOCK_POINTS = 8192  # (p1, p2) grid points evaluated per vectorised block
+_BLOCK_POINTS = 8192  # kernel entries (p1 rows times u columns) built per block
 
 
 class Region(enum.Enum):
@@ -113,130 +128,77 @@ def integrand(p1: float, p2: float, p3: float) -> float:
     return disagreement_window(p1, p2, p3, MeasureKind.RR, MeasureKind.RR_STAR).width
 
 
-def _scratch(shape: tuple[int, ...], floats: int) -> list[np.ndarray]:
-    """`floats` float buffers of one shape, cut from one allocation."""
-    block = np.empty((floats, *shape))
-    return [block[i, ...] for i in range(floats)]
+def _weights(u: np.ndarray) -> np.ndarray:
+    """The u-only column weights 1, u, 1-u and u(1-u), one row per u."""
+    v = 1.0 - u
+    return np.stack([np.ones_like(u), u, v, u * v], axis=-1)
 
 
-_REGION_WORK = 1  # float temporaries of _region_inner, the most any inner integral needs
+def _kernel_sums(p1: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each p1, the sums over u of the weights times 1/p2 and times 1/(1-p2).
 
-
-def _region_inner(
-    region: Region,
-    p1: np.ndarray,
-    p2: np.ndarray,
-    out: np.ndarray,
-    work: list[np.ndarray],
-) -> np.ndarray:
-    """Exact integral of g over the region's p3 range for each (p1, p2).
-
-    The closed forms of the module docstring, which hold only for (p1, p2)
-    inside the region's box. The result goes to out, with the
-    _REGION_WORK float buffers in work as scratch, all of the broadcast
-    shape of p1 and p2.
+    With q = 1-p1, p2 runs over p1 + q u above the diagonal and over p1 u
+    below it. Both denominators are sums of positive terms, the rows
+    [p1, q, 0] and [q, 0, p1] times the weight columns [1, u, 1-u]:
+    p2 = p1 + q u and 1-p2 = q + p1 (1-u). The rows of both boxes are built
+    in blocks of about _BLOCK_POINTS entries in one buffer, and each block
+    is summed against the weights by one matmul.
     """
-    (tmp,) = work
-    if region is Region.A:  # (p2-p1)(1-p2) / (2 p2)
-        np.multiply(np.subtract(p2, p1, out=out), np.subtract(1.0, p2, out=tmp), out=out)
-        return np.divide(out, np.multiply(2.0, p2, out=tmp), out=out)
-    # B and C take their p1 factor first, once per grid row
-    if region is Region.B:  # (1-p1)(p1-p2) / (2 p1)
-        return np.multiply((1.0 - p1) / (2.0 * p1), np.subtract(p1, p2, out=out), out=out)
-    if region is Region.C:  # p1(p2-p1) / (2(1-p1))
-        return np.multiply(p1 / (2.0 * (1.0 - p1)), np.subtract(p2, p1, out=out), out=out)
-    # D: p2(p1-p2) / (2(1-p2))
-    np.multiply(p2, np.subtract(p1, p2, out=out), out=out)
-    return np.divide(out, np.multiply(2.0, np.subtract(1.0, p2, out=tmp), out=tmp), out=out)
+    q, zeros = 1.0 - p1, np.zeros_like(p1)
+    left = np.concatenate([np.stack([p1, q, zeros], -1), np.stack([q, zeros, p1], -1)])
+    right = weights[:, :3].T
+    rows = 2 * max(1, _BLOCK_POINTS // (2 * len(weights)))  # even: no block is a lone row
+    kernel = np.empty((rows, len(weights)))
+    sums = np.empty((len(left), weights.shape[1]))
+    for first in range(0, len(left), rows):
+        block = kernel[: min(rows, len(left) - first)]
+        np.divide(1.0, np.matmul(left[first : first + rows], right, out=block), out=block)
+        np.matmul(block, weights, out=sums[first : first + rows])
+    return sums[: len(p1)].T, sums[len(p1) :].T
 
 
-def _part_inner(
-    part: int,
-    p1: np.ndarray,
-    p2: np.ndarray,
-    out: np.ndarray,
-    work: list[np.ndarray],
-) -> np.ndarray:
-    """Exact inner p3 integral of one piece of the region-A decomposition.
+def _terms(
+    p1: np.ndarray, plain: np.ndarray, above: np.ndarray, below: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Width times inner integral of A, B, C, D and region-A parts 1-3, summed over u.
 
-    Region A fixes p1 < p2 and p1 < p3. The minimum min{1, c_rr} switches
-    at p3 = p1/p2, which always lies inside (p1, 1) here, splitting the
-    inner integral into
-
-        part 1: p3 in (p1, p1/p2), integrand c_rr = p2*p3/p1   -> 1/16
-        part 2: p3 in (p1/p2, 1), integrand 1                  -> 1/4
-        part 3: p3 in (p1, 1), integrand c_rr* (subtracted)    -> 13/48
-
-    Each form is a product and quotient of factors taken from p1 and p2
-    with at most one rounding each, so no rounded values cancel. The
-    result goes to out, with the _REGION_WORK float buffers in work as
-    scratch.
+    p1 may be a row of the grid. plain holds the sums over u of the
+    _weights columns, and above and below the _kernel_sums of each box
+    (module docstring, "Numerics").
     """
-    (tmp,) = work
-    if part == 1:  # p1 (1-p2)(1+p2) / (2 p2)
-        np.multiply(0.5 * p1, np.subtract(1.0, p2, out=out), out=out)
-        np.multiply(out, np.add(1.0, p2, out=tmp), out=out)
-        return np.divide(out, p2, out=out)
-    if part == 2:  # (p2-p1) / p2
-        return np.divide(np.subtract(p2, p1, out=out), p2, out=out)
-    # 0.5 (1-p1)(1+p2)
-    return np.multiply(0.5 * (1.0 - p1), np.add(1.0, p2, out=out), out=out)
+    q = 1.0 - p1
+    count, sum_u, sum_v, _ = plain
+    return (
+        0.5 * q * q * q * above[3],  # A
+        0.5 * p1 * q * sum_v,  # B
+        0.5 * p1 * q * sum_u,  # C
+        0.5 * p1 * p1 * p1 * below[3],  # D
+        0.5 * p1 * q * q * (above[2] + sum_v),  # part 1
+        q * q * above[1],  # part 2
+        0.5 * q * q * ((1.0 + p1) * count + q * sum_u),  # part 3
+    )
 
 
-def _grid_sums(
-    inners: list[Callable[..., np.ndarray]], p2_below: bool, cells: int
-) -> list[float]:
-    """Midpoint sums over (p1, p2) of the p2-range width times each inner(p1, p2).
-
-    The unit square maps onto the region's box: its first axis is p1, and
-    u on its second axis spans the p2 range below or above p1. Rows of p1
-    are evaluated in blocks of about _BLOCK_POINTS grid points, all in one
-    scratch allocation. Every inner(p1, p2, out, work) reads the block's p2,
-    writes its value row to out and may use the _REGION_WORK buffers in work.
-    """
+def _midpoint_sums(cells: int) -> list[float]:
+    """The seven _terms' midpoint sums over cells^2 points of (p1, u), times the cell area."""
     mids = (np.arange(cells) + 0.5) / cells
-    u = mids[None, :]
-    rows = max(1, _BLOCK_POINTS // cells)
-    buffers = _scratch((rows, cells), 2 + _REGION_WORK)
-    totals = [0.0] * len(inners)
-    for first in range(0, cells, rows):
-        p1 = mids[first : first + rows, None]
-        n = len(p1)  # the last block may be partial
-        p2, value, *work = (buffer[:n] for buffer in buffers)
-        width = p1 if p2_below else 1.0 - p1
-        np.multiply(width, u, out=p2)
-        if not p2_below:
-            np.add(p1, p2, out=p2)
-        for i, inner in enumerate(inners):
-            inner(p1, p2, value, work)
-            totals[i] += float(np.multiply(width, value, out=value).sum())
-    return [total / cells**2 for total in totals]
+    weights = _weights(mids)
+    above, below = _kernel_sums(mids, weights)
+    terms = _terms(mids, weights.sum(axis=0), above, below)
+    return [math.fsum(term.tolist()) / cells**2 for term in terms]
 
 
-def _estimates(
-    inners: list[Callable[..., np.ndarray]], p2_below: bool, cells: int
-) -> list[QuadratureEstimate]:
-    """Each inner's sum on `cells` cells per axis, reporting the refinement error."""
+def _all_estimates(cells: int) -> list[QuadratureEstimate]:
+    """Regions A, B, C, D and region-A parts 1-3, reporting the refinement error."""
     if not float(cells).is_integer() or not _MIN_CELLS <= cells <= _MAX_CELLS:
         raise ResolutionError(
             f"grid scheme needs an integer resolution >= {_MIN_CELLS} and"
             f" <= {_MAX_CELLS}, got {cells!r}"
         )
     cells = int(cells)
-    coarse = _grid_sums(inners, p2_below, cells // 2)
-    fine = _grid_sums(inners, p2_below, cells)
+    coarse = _midpoint_sums(cells // 2)
+    fine = _midpoint_sums(cells)
     return [QuadratureEstimate(f, abs(f - c), cells) for c, f in zip(coarse, fine)]
-
-
-def _all_estimates(resolution: int, parts: Iterable[int] = ()) -> list[QuadratureEstimate]:
-    """Regions A, B, C, D, then the given region-A parts, in one pass per box."""
-    above = [partial(_region_inner, Region.A), partial(_region_inner, Region.C)]
-    a, c, *part_estimates = _estimates(
-        [*above, *(partial(_part_inner, part) for part in parts)], False, resolution
-    )
-    below = [partial(_region_inner, Region.B), partial(_region_inner, Region.D)]
-    b, d = _estimates(below, True, resolution)
-    return [a, b, c, d, *part_estimates]
 
 
 def region_probability(region: Region, resolution: int = 256) -> QuadratureEstimate:
@@ -245,23 +207,21 @@ def region_probability(region: Region, resolution: int = 256) -> QuadratureEstim
     resolution is the number of grid cells per axis, an integer from 8 to
     16384.
     """
-    p2_below = region in (Region.B, Region.D)
-    return _estimates([partial(_region_inner, region)], p2_below, resolution)[0]
+    return _all_estimates(resolution)[list(Region).index(region)]
 
 
 def total_probability(resolution: int = 256) -> QuadratureEstimate:
     """Integral over all four regions (exactly 1/6)."""
-    return sum_estimates(_all_estimates(resolution))
+    return sum_estimates(_all_estimates(resolution)[:4])
 
 
 def sum_estimates(estimates: Iterable[QuadratureEstimate]) -> QuadratureEstimate:
     """The estimate of a sum of integrals: values and errors add."""
     estimates = list(estimates)
-    return QuadratureEstimate(
-        value=sum(e.value for e in estimates),
-        error=sum(e.error for e in estimates),
-        resolution=max(e.resolution for e in estimates),
-    )
+    value = error = 0.0
+    for e in estimates:  # a chain of +, which rounds alike on every Python
+        value, error = value + e.value, error + e.error
+    return QuadratureEstimate(value, error, max(e.resolution for e in estimates))
 
 
 def region_a_parts(
@@ -273,5 +233,4 @@ def region_a_parts(
     critical-value term, so part1 + part2 - part3 equals the region A
     integral (1/24).
     """
-    inners = [partial(_part_inner, part) for part in (1, 2, 3)]
-    return tuple(_estimates(inners, False, resolution))  # type: ignore[return-value]
+    return tuple(_all_estimates(resolution)[4:])  # type: ignore[return-value]

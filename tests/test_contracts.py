@@ -186,10 +186,14 @@ def test_estimate_rrr_equals_the_sum_forms_exactly(counts, corrected):
     except DegenerateCell:
         return
     p1, p2, p3, p4 = table.risks(corrected)
-    ns = [cell.total for cell in table.cells]
-    var1 = sum((1.0 - p) / (n * p) for p, n in zip((p1, p2, p3, p4), ns))
-    var2 = sum(p / (n * (1.0 - p)) for p, n in zip((p1, p2, p3, p4), ns))
-    cov = sum(1.0 / n for n in ns)
+    n1, n2, n3, n4 = [cell.total for cell in table.cells]
+    # left-to-right chains of +, which round alike on every Python (sum() is
+    # compensated from 3.12 on)
+    var1 = ((1.0 - p1) / (n1 * p1) + (1.0 - p2) / (n2 * p2)
+            + (1.0 - p3) / (n3 * p3) + (1.0 - p4) / (n4 * p4))
+    var2 = (p1 / (n1 * (1.0 - p1)) + p2 / (n2 * (1.0 - p2))
+            + p3 / (n3 * (1.0 - p3)) + p4 / (n4 * (1.0 - p4)))
+    cov = 1.0 / n1 + 1.0 / n2 + 1.0 / n3 + 1.0 / n4
     assert estimate.covariance == ((var1, cov), (cov, var2))
     assert estimate.log_rrr1 == math.log(p2) + math.log(p3) - math.log(p1) - math.log(p4)
     assert estimate.log_rrr2 == (

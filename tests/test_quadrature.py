@@ -152,6 +152,14 @@ def test_estimates_are_plain_floats():
         assert type(estimate.error) is float
 
 
+def test_sum_estimates_adds_left_to_right():
+    # a compensated sum (sum() from Python 3.12 on, or math.fsum) would keep
+    # the two 1e-16s that a chain of + drops
+    estimates = [QuadratureEstimate(x, x, 8) for x in (1.0, 1e-16, 1e-16)]
+    assert sum_estimates(estimates) == QuadratureEstimate(1.0, 1.0, 8)
+    assert math.fsum(e.value for e in estimates) > 1.0
+
+
 # ---------------------------------------------------------------------------
 # the exact inner p3 integral
 
@@ -168,6 +176,21 @@ def _integrand_array(p1, p2, p3):
     return np.minimum(1.0, high) - np.maximum(0.0, low)
 
 
+def _terms_at(p1, u):
+    """The seven src terms at the one grid point (p1, u), as floats.
+
+    Each sum over u has one term, so this is the grid sum of a one-point grid.
+    """
+    p1, u = np.array([p1]), np.array([u])
+    weights = quadrature._weights(u)
+    above, below = quadrature._kernel_sums(p1, weights)
+    return [float(term[0]) for term in quadrature._terms(p1, weights.sum(axis=0), above, below)]
+
+
+# the index of each integral in the _terms tuple
+TERM = {Region.A: 0, Region.B: 1, Region.C: 2, Region.D: 3, 1: 4, 2: 5, 3: 6}
+
+
 @pytest.mark.parametrize("region", list(Region))
 @settings(max_examples=40, deadline=None)
 @given(inner_risks, inner_risks)
@@ -175,20 +198,21 @@ def test_inner_integral_matches_a_fine_midpoint_sum(region, a, b):
     assume(abs(a - b) > 1e-3)
     low, high = sorted((a, b))
     # p2 lies below p1 in regions B and D, above it in A and C
-    p1, p2 = (high, low) if region in (Region.B, Region.D) else (low, high)
+    below = region in (Region.B, Region.D)
+    p1, p2 = (high, low) if below else (low, high)
     start, end = (0.0, p1) if region in (Region.C, Region.D) else (p1, 1.0)
     width = end - start
     p3 = start + width * (np.arange(REFERENCE_POINTS) + 0.5) / REFERENCE_POINTS
     # midpoint error per kink is at most h^2/8 times the slope jump (<= 99)
     reference = width * float(_integrand_array(p1, p2, p3).mean())
-    out, *work = quadrature._scratch((), 1 + quadrature._REGION_WORK)
-    exact = float(quadrature._region_inner(region, p1, p2, out, work))
+    # the box coordinate of p2, whose rounding moves the inner integral by ~1e-14
+    box_width = p1 if below else 1.0 - p1
+    terms = _terms_at(p1, p2 / p1 if below else (p2 - p1) / box_width)
+    exact = terms[TERM[region]] / box_width
     assert exact == pytest.approx(reference, abs=1e-9)
     assert integrand(p1, p2, p3[0]) == _integrand_array(p1, p2, p3[0])
     if region is Region.A:
-        parts = [
-            float(quadrature._part_inner(k, p1, p2, out, work)) for k in (1, 2, 3)
-        ]
+        parts = [terms[TERM[k]] / box_width for k in (1, 2, 3)]
         assert parts[0] + parts[1] - parts[2] == pytest.approx(exact, abs=1e-14)
 
 
@@ -210,16 +234,14 @@ def _exact_region_inner(region, p1, p2):
     return rr - star if region in (Region.A, Region.D) else star - rr
 
 
-def _spread_risk_pairs(rng, n):
-    """Sorted pairs of distinct risks in (0, 1), each drawn as r, r**12 or 1 - r**12.
+def _spread_points(rng, n):
+    """Grid points (p1, u) in (0, 1)^2, each coordinate drawn as r, r**12 or 1 - r**12.
 
-    Of n draws, those with a risk rounded onto 0 or 1 or with equal risks
-    are dropped.
+    Of n draws, those with a coordinate rounded onto 0 or 1 are dropped.
     """
     r = rng.random((n, 2))
-    risks = np.choose(rng.integers(3, size=(n, 2)), [r, r**12, 1.0 - r**12])
-    keep = (risks > 0.0).all(axis=1) & (risks < 1.0).all(axis=1) & (risks[:, 0] != risks[:, 1])
-    return np.sort(risks[keep], axis=1)
+    points = np.choose(rng.integers(3, size=(n, 2)), [r, r**12, 1.0 - r**12])
+    return points[((points > 0.0) & (points < 1.0)).all(axis=1)]
 
 
 def _exact_part_inner(part, p1, p2):
@@ -237,25 +259,32 @@ def _exact_part_inner(part, p1, p2):
 
 
 EXACT_INNERS = [
-    *(pytest.param(partial(quadrature._region_inner, region),
-                   partial(_exact_region_inner, region), region, id=str(region))
+    *(pytest.param(TERM[region], partial(_exact_region_inner, region), region, id=str(region))
       for region in Region),
-    *(pytest.param(partial(quadrature._part_inner, part),
-                   partial(_exact_part_inner, part), Region.A, id=f"part-{part}")
+    *(pytest.param(TERM[part], partial(_exact_part_inner, part), Region.A, id=f"part-{part}")
       for part in (1, 2, 3)),
 ]  # fmt: skip
 
 
-@pytest.mark.parametrize("inner, exact_inner, region", EXACT_INNERS)
-def test_inner_integral_matches_the_exact_rational_integral(inner, exact_inner, region):
-    pairs = _spread_risk_pairs(np.random.default_rng(20211), 2400)
-    low, high = pairs[:, 0], pairs[:, 1]
-    assert len(pairs) >= 2000 and low.min() < 1e-30 and high.max() > 1.0 - 1e-13
-    p1, p2 = (high, low) if region in (Region.B, Region.D) else (low, high)
-    out, *work = quadrature._scratch(p1.shape, 1 + quadrature._REGION_WORK)
-    values = inner(p1, p2, out, work)
-    for a, b, value in zip(p1.tolist(), p2.tolist(), values.tolist()):
-        exact = exact_inner(Fraction(a), Fraction(b))
+@cache
+def _spread_terms():
+    """The seven src terms at 2,400 spread grid points, one row per point."""
+    points = _spread_points(np.random.default_rng(20211), 2400)
+    return points, np.array([_terms_at(p1, u) for p1, u in points.tolist()])
+
+
+@pytest.mark.parametrize("term, exact_inner, region", EXACT_INNERS)
+def test_inner_integral_matches_the_exact_rational_integral(term, exact_inner, region):
+    # Each term is the p2-range width times the inner integral at the grid
+    # point (p1, u), whose p2 is exactly p1 + (1-p1) u above p1 or p1 u below.
+    points, terms = _spread_terms()
+    assert len(points) >= 2000 and points.min(axis=0).max() < 1e-30
+    assert points.max(axis=0).min() > 1.0 - 1e-13
+    below = region in (Region.B, Region.D)
+    for (a, b), value in zip(points.tolist(), terms[:, term].tolist()):
+        p1, u = Fraction(a), Fraction(b)
+        width = p1 if below else 1 - p1
+        exact = width * exact_inner(p1, p1 * u if below else p1 + width * u)
         assert exact > 0
         assert abs(Fraction(value) - exact) <= 4 * EPS * exact, (a, b)
 
@@ -278,7 +307,7 @@ def test_refinement_shrinks_the_error():
 
 
 # ---------------------------------------------------------------------------
-# the shared-scratch grid pass against the allocating form it replaced
+# the grid sums against the elementwise closed forms
 
 
 def _unscratched_region_inner(region, p1, p2):
@@ -299,71 +328,50 @@ def _unscratched_part_inner(part, p1, p2):
     return 0.5 * (1.0 - p1) * (1.0 + p2)
 
 
-def _unscratched_grid_sum(inner, p2_below, cells):
-    """The grid sum with fresh temporaries for every block."""
-    mids = (np.arange(cells) + 0.5) / cells
-    u = mids[None, :]
-    rows = max(1, quadrature._BLOCK_POINTS // cells)
-    total = 0.0
-    for first in range(0, cells, rows):
-        p1 = mids[first : first + rows, None]
-        width = p1 if p2_below else 1.0 - p1
-        p2 = width * u if p2_below else p1 + width * u
-        total += float((width * inner(p1, p2)).sum())
-    return total / cells**2
-
-
-# Both boxes for every inner: the check is of the scratch arithmetic, which is
-# defined for any p1, p2 in (0, 1), though a region's closed form is its
-# integral only on its own box (p2 below p1 in B and D).
-INNERS = [
-    *((f"region-{region.value}", partial(quadrature._region_inner, region),
-       partial(_unscratched_region_inner, region)) for region in Region),
-    *((f"part-{part}", partial(quadrature._part_inner, part),
-       partial(_unscratched_part_inner, part)) for part in (1, 2, 3)),
+CLOSED_FORMS = [
+    *(pytest.param(TERM[region], partial(_unscratched_region_inner, region),
+                   region in (Region.B, Region.D), id=f"region-{region.value}")
+      for region in Region),
+    *(pytest.param(TERM[part], partial(_unscratched_part_inner, part), False, id=f"part-{part}")
+      for part in (1, 2, 3)),
 ]  # fmt: skip
 
-
-ALL_INNERS = [inner for _, inner, _ in INNERS]
+# On an x86-64 host with OpenBLAS, the worst at cells 8 to 2048 was 7 ulps
+# (region C at 257 cells), against 8 for the per-point evaluation that these
+# sums replaced.
+GRID_SUM_ULPS = 16
 
 
 @cache
-def _seven_inner_sums(p2_below, cells):
-    """One pass over the box with all seven inners, shared by the rows below."""
-    return quadrature._grid_sums(ALL_INNERS, p2_below, cells)
-
-
-@pytest.mark.parametrize("cells", [8, 100, 257, 3000])  # partial last blocks, and rows=2
-@pytest.mark.parametrize("p2_below", [False, True])
-@pytest.mark.parametrize("name, inner, unscratched", INNERS, ids=[i[0] for i in INNERS])
-def test_scratch_grid_sum_is_bit_identical(name, inner, unscratched, p2_below, cells):
-    # each inner's sum from the shared pass equals its own allocating sum
-    assert _seven_inner_sums(p2_below, cells)[ALL_INNERS.index(inner)] == (
-        _unscratched_grid_sum(unscratched, p2_below, cells)
-    )
-
-
-@pytest.mark.parametrize("cells", [8, 257])
-@pytest.mark.parametrize("p2_below", [False, True])
-@pytest.mark.parametrize("name, inner, unscratched", INNERS, ids=[i[0] for i in INNERS])
-def test_inner_sum_alone_equals_its_sum_among_the_others(
-    name, inner, unscratched, p2_below, cells
-):
-    # no inner corrupts the shared p2 grid for the inners after it
-    (alone,) = quadrature._grid_sums([inner], p2_below, cells)
-    assert alone == _seven_inner_sums(p2_below, cells)[ALL_INNERS.index(inner)]
-
-
-@pytest.mark.parametrize("p2_below", [False, True])
-@pytest.mark.parametrize("name, inner, unscratched", INNERS, ids=[i[0] for i in INNERS])
-def test_scratch_inner_values_are_bit_identical(name, inner, unscratched, p2_below):
-    # Elementwise, since a total can hide a last-bit change in one point.
-    cells = 257
+def _fsum_grid_sum(closed_form, p2_below, cells):
+    """math.fsum over the grid of the p2-range width times a closed form, over cells^2."""
     mids = (np.arange(cells) + 0.5) / cells
     p1 = mids[:, None]
     width = p1 if p2_below else 1.0 - p1
-    p2 = width * mids[None, :] if p2_below else p1 + width * mids[None, :]
-    out, *work = quadrature._scratch(p2.shape, 1 + quadrature._REGION_WORK)
-    expected = unscratched(p1, p2).view(np.int64)
-    for _ in range(2):  # the second call finds the first call's values in the scratch
-        assert np.array_equal(inner(p1, p2, out, work).view(np.int64), expected)
+    p2 = width * mids if p2_below else p1 + width * mids
+    return math.fsum((width * closed_form(p1, p2)).ravel().tolist()) / cells**2
+
+
+@cache
+def _sums_with_blocks(cells, block_points=quadrature._BLOCK_POINTS):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_BLOCK_POINTS", block_points)
+        return quadrature._midpoint_sums(cells)
+
+
+@pytest.mark.parametrize("rows", [None, 2])  # the default blocks, and two rows per block
+@pytest.mark.parametrize("cells", [8, 100, 257, 1024])  # partial last blocks at 100 and 257
+@pytest.mark.parametrize("term, closed_form, p2_below", CLOSED_FORMS)
+def test_grid_sum_is_within_ulps_of_the_closed_form_fsum(term, closed_form, p2_below, cells, rows):
+    value = _sums_with_blocks(cells, rows * cells if rows else quadrature._BLOCK_POINTS)[term]
+    reference = _fsum_grid_sum(closed_form, p2_below, cells)
+    assert abs(value - reference) <= GRID_SUM_ULPS * math.ulp(reference)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 14])  # the grid makes odd counts even: 1 and 3 give 2
+@pytest.mark.parametrize("cells", [8, 100, 257])
+@pytest.mark.parametrize("term", range(7), ids=[p.id for p in CLOSED_FORMS])
+def test_grid_sums_do_not_depend_on_the_block_size(term, cells, rows):
+    # bit for bit, against the whole grid of both boxes in one block
+    whole = _sums_with_blocks(cells, 2 * cells * cells)[term]
+    assert _sums_with_blocks(cells, rows * cells)[term] == whole
