@@ -226,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--bounds",
         type=_bounds,
-        default=(0.0, 1.0),
+        default=None,
         metavar="L,U",
-        help="support bounds for --dist tent (default 0,1)",
+        help="support bounds for every --dist (default 0,0.1 for rare, else 0,1)",
     )
     _add_output_flags(simulate)
 

@@ -21,19 +21,27 @@ run counts it there. The screen and the kernel read RR and RR* from the
 one formula, measures._relative_risks, and compare strictly, so the
 screen sees the kernel's values; test_gate_flags_exactly_the_two_sided_keys
 checks on drawn blocks that it flags exactly the trials whose full-kernel
-key has bits on both sides, for the four default draw models only. Near 1
-that fails: at tent bounds (0.9999999999999, 1) a float RR can tie while RD
-and RR* split, and the screen counts that trial at key 0 (a strict xfail
-of test_screened_counts_equal_unscreened_counts).
+key has bits on both sides, for the draw models it lists. Near 1 that
+fails: at bounds (0.9999999999999, 1), tent or uniform, a float RR can tie
+while RD and RR* split, and the screen counts that trial at key 0 (strict
+xfails of test_screened_counts_equal_unscreened_counts).
 
-Risk distributions:
+Risk distributions, on bounds (L, U) within [0, 1] (SimulationConfig):
 
-    UNIFORM_UNIT    all four risks iid uniform on (0, 1)
-    UNIFORM_RARE    all four risks iid uniform on (0, 0.1)
+    UNIFORM_UNIT    all four risks iid uniform on (L, U); default (0, 1)
+    UNIFORM_RARE    the same, with default bounds (0, 0.1)
     TENT_DEPENDENT  control risks p1, p3 uniform on (L, U); exposed risks
-                    drawn from asymmetric tent (triangular) densities
-                    peaking at the stratum's control risk, so exposed and
-                    control risks are positively correlated
+                    drawn from asymmetric tent (triangular) densities on
+                    (L, U) peaking at the stratum's control risk, so
+                    exposed and control risks are positively correlated
+
+The rare limit: RR and RD are homogeneous, so scaling all four risks by r
+changes neither direction, and P(RR/RD disagree), about 1/12, is the same
+for iid uniform risks on (0, r) at every r. RR* points as the sign of
+[(p4-p3) - (p2-p1)] + (p2 p3 - p1 p4), RD's O(r) comparison plus an O(r^2)
+term, so P_r(RR*/RD disagree) = O(r), and by the triangle inequality on
+directions |P_r(RR/RR*) - P(RR/RD)| <= P_r(RR*/RD): RR/RR* disagreement
+falls from 1/6 at r = 1 toward 1/12 as r -> 0.
 
 The tent CDF on (L, U) with peak m is
     F(x) = (x-L)^2 / ((m-L)(U-L))          for x <= m
@@ -45,11 +53,7 @@ u (at least 2^-53) by (m-L)(U-L), where (m-L)/(U-L) is at least about
 2^-53, so SimulationConfig rejects bounds with (U-L)^2 * 2^-106 below the
 smallest normal double (a span below about 1.4e-138): there the product
 underflows and the exposed draws collapse onto a few values. The quantile
-evaluates both branches and blends them as left*c - right*(c - 1), with c
-1.0 or 0.0 from the comparison, instead of calling np.where: whether a draw
-falls left of the peak is random, so np.where's per-element branch
-mispredicts, and on a 16K tile it took 70-80 us against 15 us for a sorted
-mask. The blend is bit for bit the np.where value (see _tent_quantile).
+blends its two branches by arithmetic, not np.where (see _tent_quantile).
 
 Reproducibility: a run reads two PCG64 generators, seeded with the two
 children that SeedSequence(seed) spawns: the main stream and the spare.
@@ -57,7 +61,7 @@ Trials are drawn in blocks of _BLOCK trials (the last block may be
 shorter), and each uniform draw takes one 64-bit output, so a block of n
 trials takes exactly 4n outputs of the main stream: n for each of p1, p2,
 p3, p4 in turn, or p1, p3, p2, p4 for tent. A value that cannot be used (a
-uniform 0.0, a tent control risk on a bound, an exposed risk on 0 or 1) is
+uniform 0.0, a risk mapped onto a bound, an exposed risk on 0 or 1) is
 replaced in place by draws from the spare, which are themselves kept
 inside (0, 1), tile by tile in the order _draw_tile gives; no other value
 moves. The counts are therefore a function of (seed, trials, distribution,
@@ -148,17 +152,20 @@ class SimulationConfig:
     trials: int = 1_000_000
     seed: int = 0
     distribution: Distribution = Distribution.UNIFORM_UNIT
-    bounds: tuple[float, float] = (0.0, 1.0)
+    bounds: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("trials", "seed"):
+        if not isinstance(self.distribution, Distribution):
+            raise ConfigError(f"unknown distribution {self.distribution!r}")
+        if self.bounds is None:  # (0, 0.1) for rare, else (0, 1)
+            upper = 0.1 if self.distribution is Distribution.UNIFORM_RARE else 1.0
+            object.__setattr__(self, "bounds", (0.0, upper))
+        for name, least in (("trials", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         try:
             lower, upper = self.bounds
         except (TypeError, ValueError):
@@ -176,15 +183,8 @@ class SimulationConfig:
             )
         if (upper - lower) ** 2 * 2.0**-106 < sys.float_info.min:
             raise ConfigError(
-                "the tent quantile needs the span squared, times 2**-106, to be"
+                "for every distribution, the span squared times 2**-106 must be"
                 f" a normal float; upper - lower is too small, got {self.bounds}"
-            )
-        if not isinstance(self.distribution, Distribution):
-            raise ConfigError(f"unknown distribution {self.distribution!r}")
-        tent = self.distribution is Distribution.TENT_DEPENDENT
-        if not tent and (lower, upper) != (0.0, 1.0):
-            raise ConfigError(
-                f"bounds apply only to the tent distribution, got {self.bounds}"
             )
 
 
@@ -414,7 +414,7 @@ def _gate_conflicts(p1, p2, p3, p4, out, work):
     RR and RR* come from measures._relative_risks, which _strict_measures
     also reads, and the comparisons are those of _direction_masks, so a tie
     in either measure never conflicts. The flags are the two-sided keys only
-    for the four default draw models (see the module docstring). The flags
+    for the draw models the gate test checks (see the module docstring). The flags
     go into out, a bool array, and every step writes into out or into work:
     four float arrays, then two bool arrays, all of p1's shape.
     """
@@ -441,33 +441,33 @@ def _draw_tile(
     """Draw one tile of (p1, p2, p3, p4) into out, each risk from its own lane.
 
     lanes[k] sits where the tile's draws of risk k lie in the block's stream.
-    Values off their bounds are replaced in place by draws from spare, in
-    this order: the uniform 0.0s of p1, p2, p3, p4, then the tent control
-    risks p1, p3 on a bound, then the exposed risks p2, p4 on 0 or 1. work's
-    first _QUANTILE_WORK arrays, float arrays of at least the tile's size,
-    are the tent quantile's scratch.
+    Uniform risks and tent control risks are mapped to lower + span * u,
+    except at bounds (0, 1), where the map is the identity. Values off their
+    bounds are replaced in place by draws from spare, in this order: the
+    uniform 0.0s of p1, p2, p3, p4, then the mapped risks on a bound (all
+    four for uniform and rare, p1, p3 for tent), then tent's exposed risks
+    p2, p4 on 0 or 1. work's first _QUANTILE_WORK arrays, float arrays of at
+    least the tile's size, are the tent quantile's scratch.
     """
     fresh = partial(_spare_draws, spare)
     for lane, risk in zip(lanes, out):
         if not lane.random(out=risk).all():
             _redraw_on_bounds(risk, fresh, 0.0, 1.0)
-    dist = config.distribution
-    if dist is not Distribution.TENT_DEPENDENT:
-        if dist is Distribution.UNIFORM_RARE:
-            for risk in out:
-                np.multiply(risk, 0.1, out=risk)
-        return
+    tent = config.distribution is Distribution.TENT_DEPENDENT
     p1, p2, p3, p4 = out
     lower, upper = config.bounds
 
-    def control(u: np.ndarray) -> np.ndarray:  # lower + span * u
+    def scale(u: np.ndarray) -> np.ndarray:  # lower + span * u
         return np.add(np.multiply(u, upper - lower, out=u), lower, out=u)
 
-    # Floating rounding can park a draw exactly on a bound. A control risk
-    # on L or U is no tent peak, and an exposed risk on 0 or 1 loses the
-    # measures' limits, so such draws are replaced.
-    for risk in (p1, p3):
-        _redraw_on_bounds(control(risk), lambda bad: control(fresh(bad)), lower, upper)
+    # Floating rounding can park a draw exactly on a bound. A risk on L or U
+    # is off its support, and an exposed risk on 0 or 1 loses the measures'
+    # limits, so such draws are replaced.
+    if (lower, upper) != (0.0, 1.0):
+        for risk in (p1, p3) if tent else out:
+            _redraw_on_bounds(scale(risk), lambda bad: scale(fresh(bad)), lower, upper)
+    if not tent:
+        return
     work = [row[: p1.size] for row in work[:_QUANTILE_WORK]]
     for risk, peak in ((p2, p1), (p4, p3)):
         _tent_quantile(risk, peak, lower, upper, out=risk, work=work)

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import concord
-from concord import cli
+from concord import cli, montecarlo
 from concord.cli import main
 from concord.errors import ResolutionError
 from concord.quadrature import Region, region_a_parts, region_probability, total_probability
@@ -284,6 +285,33 @@ def test_simulate_tent_with_bounds(capsys):
     assert payload["inputs"]["bounds"] == [0.2, 0.8]
 
 
+def test_simulate_uniform_with_bounds(capsys, monkeypatch):
+    # --bounds applies to every distribution: each uniform risk that the
+    # screen sees lies strictly inside them
+    tiles, gate = [], montecarlo._gate_conflicts
+
+    def recording_gate(*risks, out, work):
+        tiles.append(np.stack(risks))
+        return gate(*risks, out=out, work=work)
+
+    monkeypatch.setattr(montecarlo, "_gate_conflicts", recording_gate)
+    payload = run_json(
+        capsys, "simulate", "--trials", "100", "--dist", "uniform", "--bounds", "0.2,0.5"
+    )
+    assert payload["inputs"]["bounds"] == [0.2, 0.5]
+    risks = np.concatenate(tiles, axis=1)
+    assert risks.shape == (4, 100)
+    assert np.all((risks > 0.2) & (risks < 0.5))
+
+
+def test_rare_is_uniform_on_its_default_bounds(capsys):
+    args = ("simulate", "--trials", "20000", "--seed", "4", "--digits", "17")
+    rare = run_json(capsys, *args, "--dist", "rare")
+    uniform = run_json(capsys, *args, "--dist", "uniform", "--bounds", "0,0.1")
+    assert rare["inputs"]["bounds"] == [0.0, 0.1]
+    assert rare["results"]["venn"] == uniform["results"]["venn"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -295,7 +323,7 @@ def test_simulate_tent_with_bounds(capsys):
         ("simulate", "--dist", "gaussian"),
         ("simulate", "--trials", "100", "--bounds", "0.9,0.1"),
         ("simulate", "--trials", "100", "--seed", "-1"),
-        ("simulate", "--trials", "100", "--dist", "uniform", "--bounds", "0.2,0.5"),
+        ("simulate", "--trials", "100", "--dist", "uniform", "--bounds", "0,1e-200"),
         ("simulate", "--trials", "100", "--dist", "tent", "--bounds", "0,5e-324"),
         ("simulate", "--trials", "100", "--dist", "tent", "--bounds", "0,1e-200"),
     ],

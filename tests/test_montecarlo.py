@@ -268,6 +268,10 @@ def test_draw_tile_keeps_control_risks_off_the_bounds():
         assert np.all((control > bounds[0]) & (control < bounds[1]))
     for exposed in (p2, p4):
         assert np.all((exposed >= bounds[0]) & (exposed < bounds[1]))
+    # uniform risks take the same map and the same redraw, all four of them
+    cfg = SimulationConfig(trials=1, bounds=bounds)
+    for risk in _draw(0, 10_000, cfg):
+        assert np.all((risk > bounds[0]) & (risk < bounds[1]))
 
 
 def test_redraw_gives_up_after_a_fixed_number_of_rounds():
@@ -360,12 +364,34 @@ def test_draw_tile_replaces_only_tent_values_on_a_bound(bounds, u1, u2, u3, u4):
     assert np.array_equal(out, [p1, p2, p3, p4])
 
 
-# The four draw models, as (distribution, bounds).
+def test_draw_tile_replaces_uniform_values_on_a_bound():
+    # u = 1 - 2**-53 maps onto U = 1 at these bounds. The zero is replaced
+    # first, then each of p1, p2, p3, p4 on a bound in turn, by the spare's
+    # next draw put through the same map.
+    lower, upper = bounds = (0.9999999999999, 1.0)
+    top = 1 - 2**-53
+    us = [[0.5, top], [0.0, 0.5], [top, 0.25], [0.75, top]]
+    out = np.empty((4, 2))
+    lanes = [_Emitter(u) for u in us]
+    _draw_tile(lanes, np.random.default_rng(9), SimulationConfig(bounds=bounds), out, [])
+    spare = iter(np.random.default_rng(9).random(4))
+    us[1][0] = next(spare)
+    expected = [[lower + (upper - lower) * u for u in risk] for risk in us]
+    for risk in expected:
+        for i, x in enumerate(risk):
+            if not lower < x < upper:
+                risk[i] = lower + (upper - lower) * next(spare)
+    assert next(spare, None) is None  # each planted value, and only it, was bad
+    assert np.array_equal(out, expected)
+
+
+# The draw models, as (distribution, bounds).
 DRAW_MODELS = [
     (Distribution.UNIFORM_UNIT, (0.0, 1.0)),
-    (Distribution.UNIFORM_RARE, (0.0, 1.0)),
+    (Distribution.UNIFORM_RARE, (0.0, 0.1)),
     (Distribution.TENT_DEPENDENT, (0.0, 1.0)),
     (Distribution.TENT_DEPENDENT, (0.2, 0.8)),
+    (Distribution.UNIFORM_UNIT, (0.2, 0.8)),
 ]
 
 
@@ -588,8 +614,11 @@ def test_config_validation():
         SimulationConfig(seed=0.5)
     with pytest.raises(ConfigError, match="integer"):
         SimulationConfig(trials=True)
-    with pytest.raises(ConfigError, match="only to the tent distribution"):
-        SimulationConfig(trials=10, bounds=(0.2, 0.5))
+    # bounds apply to every distribution: uniform draws lie inside them
+    for risk in _draw(1, 10_000, SimulationConfig(trials=10, bounds=(0.2, 0.5))):
+        assert np.all((risk > 0.2) & (risk < 0.5))
+    with pytest.raises(ConfigError, match="span squared"):
+        SimulationConfig(trials=10, bounds=(0.0, 1e-140))
     with pytest.raises(ConfigError, match="strictly between"):
         SimulationConfig(
             trials=10, distribution=Distribution.TENT_DEPENDENT, bounds=(0.0, 5e-324)
@@ -602,12 +631,16 @@ def test_config_validation():
         trials=10, distribution=Distribution.TENT_DEPENDENT, bounds=(0.0, 1e-130)
     )
     tent = Distribution.TENT_DEPENDENT
-    for bounds in [(0.0, 1.0, 2.0), (0.2,), None, ("0.2", "0.8"), (0.2 + 0j, 0.8)]:
+    for bounds in [(0.0, 1.0, 2.0), (0.2,), ("0.2", "0.8"), (0.2 + 0j, 0.8)]:
         with pytest.raises(ConfigError, match="two reals"):
             SimulationConfig(trials=10, distribution=tent, bounds=bounds)
     with pytest.raises(ConfigError, match="two reals"):
         SimulationConfig(trials=10, distribution=tent, bounds=(False, True))
     SimulationConfig(trials=10, distribution=tent, bounds=[np.float64(0.2), 0.8])
+    # bounds=None is the default: (0, 0.1) for rare, (0, 1) otherwise
+    for dist in Distribution:
+        expected = (0.0, 0.1) if dist is Distribution.UNIFORM_RARE else (0.0, 1.0)
+        assert SimulationConfig(distribution=dist, bounds=None).bounds == expected
 
 
 def test_subset_mask_values():
@@ -698,24 +731,32 @@ def _unscreened_counts(config):
 TWO_ULP_BOUNDS = (0.5, 0.5000000000000002)
 
 
+NEAR_ONE_SCREEN_XFAIL = pytest.mark.xfail(
+    strict=True,
+    reason="the RR/RR* screen is not exact near 1 (CHANGES.md FOUND, "
+    "ROADMAP items 1 and 7)",
+)
+
+
 SCREENED_RUNS = [
     *(
-        pytest.param(dist, bounds, seed, trials, id=f"{seed}-{trials}-{dist}-bounds{i}")
+        pytest.param(dist, bounds, seed, trials, id=f"{seed}-{trials}-{dist}-{bounds}")
         for seed, trials in [(3, _BLOCK + 7), (2, 3 * _TILE + 5), (0, 1), (1, 1)]
-        for i, (dist, bounds) in enumerate(
-            [*DRAW_MODELS, (Distribution.TENT_DEPENDENT, TWO_ULP_BOUNDS)]
-        )
+        for dist, bounds in [
+            *DRAW_MODELS,
+            (Distribution.TENT_DEPENDENT, TWO_ULP_BOUNDS),
+            (Distribution.UNIFORM_UNIT, TWO_ULP_BOUNDS),
+        ]
     ),
-    # 30 of the 64 counts differ: a float RR ties exactly while RD and RR*
-    # split, and the screen counts that trial at key 0
-    pytest.param(
-        Distribution.TENT_DEPENDENT, (0.9999999999999, 1.0), 2, 3 * _TILE + 5,
-        id="2-49157-Distribution.TENT_DEPENDENT-near-one",
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="the RR/RR* screen is not exact near 1 (CHANGES.md FOUND, "
-            "ROADMAP items 1 and 7)",
-        ),
+    # A float RR ties exactly while RD and RR* split, and the screen counts
+    # that trial at key 0: for each distribution 30 of the 64 counts differ
+    # (for uniform, from index 18 on, as 45,077 against 45,064)
+    *(
+        pytest.param(
+            dist, (0.9999999999999, 1.0), 2, 3 * _TILE + 5,
+            id=f"2-49157-{dist}-near-one", marks=NEAR_ONE_SCREEN_XFAIL,
+        )
+        for dist in (Distribution.TENT_DEPENDENT, Distribution.UNIFORM_UNIT)
     ),
 ]  # fmt: skip
 
@@ -888,6 +929,31 @@ def test_rare_risks_agree_more_often_than_uniform():
         SimulationConfig(trials=100_000, seed=2, distribution=Distribution.UNIFORM_RARE)
     )
     assert rare.all_six_frequency > uniform.all_six_frequency
+
+
+def test_rare_limit_keeps_rr_rd_and_brings_rr_star_to_rd():
+    # Uniform on (0, r) with one seed draws r * u for the same u. RR and RD
+    # are homogeneous, so their directions, and the RR/RD row, move with r
+    # only by float near-ties. RR* differs from RD by an O(r^2) term against
+    # RD's O(r) comparison, so RR*/RD disagreement is O(r); it was about
+    # 0.035 r at r = 0.1, 0.01 and 0.001. Per trial, RR and RR* cannot split
+    # without RD splitting from one of them, unless RD ties exactly (see the
+    # module docstring).
+    trials = 200_000
+    rr_rd, rr_star_rd = [], []
+    for r in (1.0, 0.1, 0.01, 0.001):
+        result = run(SimulationConfig(trials=trials, seed=3, bounds=(0.0, r)))
+
+        def disagree(*kinds):
+            return trials - result.counts[subset_mask(kinds)]
+
+        rr_rd.append(disagree(RR, MeasureKind.RD))
+        rr_star_rd.append(disagree(RR_STAR, MeasureKind.RD))
+        assert disagree(RR, RR_STAR) <= rr_rd[-1] + rr_star_rd[-1]
+        if r < 1.0:
+            assert rr_star_rd[-1] <= 0.1 * r * trials
+    assert max(rr_rd) - min(rr_rd) <= 3
+    assert rr_rd[0] == pytest.approx(trials / 12, rel=0.02)
 
 
 def test_frequency_accessors_consistent():
