@@ -56,23 +56,28 @@ kernel, 1/p2 above and 1/(1-p2) below:
     part 1: p1 q^2/2 (1-u)(1/p2 + 1)
     part 2: q^2 u / p2             part 3: q^2/2 (1 + p1 + q u)
 
-Every factor is positive and nothing cancels, so each term at a grid
-point is accurate to a few roundings, relative. The sums over u are one
-matmul of each block of kernel rows (about 8k entries, in one buffer, so
-memory stays bounded) against the weight columns, and B, C and part 3
-need only the sums of the weights. Each sum over p1 is one correctly
-rounded math.fsum. The matmul adds in the order of numpy's BLAS
-(OpenBLAS in the numpy wheels), so the last bits of each sum, and of
-`concord exact` at --digits 17, follow its kernel choice for the CPU; they
-do not depend on the block size, which the tests check. The reported
-error bound is the difference from the half-resolution estimate; the
-error of `total_probability` is the sum of the four region errors.
+Only the kernel 1/p2 is built: B and C need none, and D's term at (p1, u)
+is A's at (1-p1, 1-u), by the mirror (p1, p2, p3) -> (1-p1, 1-p2, 1-p3)
+that sends c_rr to 1 - c_rr* and A onto D. The midpoint grid is symmetric
+under it (exactly so in floats when n is a power of two), so D's sum is
+A's. Every factor is positive and nothing cancels, so each term is
+accurate to a few roundings, relative. The sums over u are one matmul of
+each block of kernel rows (about 16k entries, in one buffer) against the
+weight columns u, 1-u and u(1-u); B, C and part 3 need only the sums of
+the weights. Each sum over p1 is one correctly rounded math.fsum. The
+matmul adds in the order of numpy's BLAS (OpenBLAS in the numpy wheels),
+so the last bits of each sum, and of `concord exact` at --digits 17,
+follow its kernel choice for the CPU and, at some n, where the row blocks
+cut its row tiles. The reported error bound is the difference from the
+half-resolution estimate; the error of `total_probability` is the sum of
+the four region errors.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -93,10 +98,10 @@ __all__ = [
 ]
 
 _MIN_CELLS = 8
-# The work grows as cells^2: on a 2-CPU Xeon, `concord exact` took 0.44 s at
-# 4096 cells per axis and 2.2 s at this cap, 2^14, in 34 MB.
+# The work grows as cells^2: on a 2-CPU Xeon, `concord exact` took 0.17-0.35 s
+# at 4096 cells per axis and 0.8-1.9 s at this cap, 2^14, in 35 MB.
 _MAX_CELLS = 1 << 14
-_BLOCK_POINTS = 8192  # kernel entries (p1 rows times u columns) built per block
+_BLOCK_POINTS = 16384  # kernel entries (p1 rows times u columns) built per block
 
 
 class Region(enum.Enum):
@@ -129,75 +134,69 @@ def integrand(p1: float, p2: float, p3: float) -> float:
 
 
 def _weights(u: np.ndarray) -> np.ndarray:
-    """The u-only column weights 1, u, 1-u and u(1-u), one row per u."""
-    v = 1.0 - u
-    return np.stack([np.ones_like(u), u, v, u * v], axis=-1)
+    """The u-only column weights u, 1-u and u(1-u), one row per u."""
+    weights = np.empty((len(u), 3))
+    weights[:, 0] = u
+    np.subtract(1.0, u, out=weights[:, 1])
+    np.multiply(u, weights[:, 1], out=weights[:, 2])
+    return weights
 
 
-def _kernel_sums(p1: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each p1, the sums over u of the weights times 1/p2 and times 1/(1-p2).
+def _kernel_sums(p1q: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """For each p1, the sums over u of the weights times 1/p2, one row per weight.
 
-    With q = 1-p1, p2 runs over p1 + q u above the diagonal and over p1 u
-    below it. Both denominators are sums of positive terms, the rows
-    [p1, q, 0] and [q, 0, p1] times the weight columns [1, u, 1-u]:
-    p2 = p1 + q u and 1-p2 = q + p1 (1-u). The rows of both boxes are built
-    in blocks of about _BLOCK_POINTS entries in one buffer, and each block
-    is summed against the weights by one matmul.
+    p1q are the _weights of the p1 values: p2 = p1 + (1-p1) u is their first
+    two columns times [1, u]. The kernel is built in blocks of about
+    _BLOCK_POINTS entries in one buffer, each summed by one matmul.
     """
-    q, zeros = 1.0 - p1, np.zeros_like(p1)
-    left = np.concatenate([np.stack([p1, q, zeros], -1), np.stack([q, zeros, p1], -1)])
-    right = weights[:, :3].T
-    rows = 2 * max(1, _BLOCK_POINTS // (2 * len(weights)))  # even: no block is a lone row
+    right = np.ones((2, len(weights)))
+    right[1] = weights[:, 0]
+    rows = 2 * max(1, _BLOCK_POINTS // (2 * len(weights)))  # even: numpy sums a lone row apart
     kernel = np.empty((rows, len(weights)))
-    sums = np.empty((len(left), weights.shape[1]))
-    for first in range(0, len(left), rows):
-        block = kernel[: min(rows, len(left) - first)]
-        np.divide(1.0, np.matmul(left[first : first + rows], right, out=block), out=block)
+    sums = np.empty((len(p1q), weights.shape[1]))
+    for first in range(0, len(p1q), rows):
+        block = kernel[: min(rows, len(p1q) - first)]
+        np.divide(1.0, np.matmul(p1q[first : first + rows, :2], right, out=block), out=block)
         np.matmul(block, weights, out=sums[first : first + rows])
-    return sums[: len(p1)].T, sums[len(p1) :].T
+    return sums.T
 
 
-def _terms(
-    p1: np.ndarray, plain: np.ndarray, above: np.ndarray, below: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Width times inner integral of A, B, C, D and region-A parts 1-3, summed over u.
+def _terms(p1q: np.ndarray, count: int, plain: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Rows A, B, C and region-A parts 1-3: width times inner integral, summed over u.
 
-    p1 may be a row of the grid. plain holds the sums over u of the
-    _weights columns, and above and below the _kernel_sums of each box
-    (module docstring, "Numerics").
+    p1q are the _weights of a row of p1 values, with count u values each;
+    plain and kernel are the sums over u of the weights and _kernel_sums.
     """
-    q = 1.0 - p1
-    count, sum_u, sum_v, _ = plain
-    return (
-        0.5 * q * q * q * above[3],  # A
-        0.5 * p1 * q * sum_v,  # B
-        0.5 * p1 * q * sum_u,  # C
-        0.5 * p1 * p1 * p1 * below[3],  # D
-        0.5 * p1 * q * q * (above[2] + sum_v),  # part 1
-        q * q * above[1],  # part 2
-        0.5 * q * q * ((1.0 + p1) * count + q * sum_u),  # part 3
-    )
+    p1, q = p1q[:, 0], p1q[:, 1]
+    sum_u, sum_v, _ = plain
+    by_u, by_v, by_uv = kernel
+    terms = np.empty((6, len(p1)))
+    terms[0] = 0.5 * q * q * q * by_uv  # A
+    terms[1] = 0.5 * p1 * q * sum_v  # B
+    terms[2] = 0.5 * p1 * q * sum_u  # C
+    terms[3] = 0.5 * p1 * q * q * (by_v + sum_v)  # part 1
+    terms[4] = q * q * by_u  # part 2
+    terms[5] = 0.5 * q * q * ((1.0 + p1) * count + q * sum_u)  # part 3
+    return terms
 
 
 def _midpoint_sums(cells: int) -> list[float]:
-    """The seven _terms' midpoint sums over cells^2 points of (p1, u), times the cell area."""
-    mids = (np.arange(cells) + 0.5) / cells
-    weights = _weights(mids)
-    above, below = _kernel_sums(mids, weights)
-    terms = _terms(mids, weights.sum(axis=0), above, below)
-    return [math.fsum(term.tolist()) / cells**2 for term in terms]
+    """The sums of A, B, C, D and parts 1-3 over cells^2 points of (p1, u), per cell area."""
+    weights = _weights((np.arange(cells) + 0.5) / cells)  # the midpoints, as p1 and as u
+    terms = _terms(weights, cells, weights.sum(axis=0), _kernel_sums(weights, weights))
+    sums = [math.fsum(row) / cells**2 for row in terms.tolist()]
+    return sums[:3] + sums[:1] + sums[3:]  # D's sum is A's (module docstring)
 
 
 def _all_estimates(cells: int) -> list[QuadratureEstimate]:
     """Regions A, B, C, D and region-A parts 1-3, reporting the refinement error."""
-    if not float(cells).is_integer() or not _MIN_CELLS <= cells <= _MAX_CELLS:
+    if not (isinstance(cells, numbers.Real) and _MIN_CELLS <= cells <= _MAX_CELLS) or cells % 1:
         raise ResolutionError(
             f"grid scheme needs an integer resolution >= {_MIN_CELLS} and"
             f" <= {_MAX_CELLS}, got {cells!r}"
         )
     cells = int(cells)
-    coarse = _midpoint_sums(cells // 2)
-    fine = _midpoint_sums(cells)
+    coarse, fine = _midpoint_sums(cells // 2), _midpoint_sums(cells)
     return [QuadratureEstimate(f, abs(f - c), cells) for c, f in zip(coarse, fine)]
 
 

@@ -82,6 +82,25 @@ def test_spec_validation():
             region_probability(Region.A, resolution)
 
 
+@pytest.mark.parametrize(
+    "resolution",
+    [10**400, "256", None, [256], "abc", 16 + 0j, Fraction(33, 2), True],
+    ids=["10**400", "'256'", "None", "[256]", "'abc'", "16+0j", "33/2", "True"],
+)
+def test_resolution_that_is_not_an_integral_real_is_a_resolution_error(resolution):
+    message = f"grid scheme needs an integer resolution >= 8 and <= 16384, got {resolution!r}"
+    with pytest.raises(ResolutionError) as info:
+        region_probability(Region.A, resolution)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "resolution", [8.0, np.int64(8), np.uint16(8), np.float32(8), Fraction(8)]
+)
+def test_integral_reals_are_accepted_as_resolutions(resolution):
+    assert region_probability(Region.A, resolution) == region_probability(Region.A, 8)
+
+
 # ---------------------------------------------------------------------------
 # integrals
 
@@ -177,21 +196,24 @@ def _integrand_array(p1, p2, p3):
 
 
 def _terms_at(p1, u):
-    """The seven src terms at the one grid point (p1, u), as floats.
+    """The six src terms at the one grid point (p1, u), as floats.
 
     Each sum over u has one term, so this is the grid sum of a one-point grid.
     """
-    p1, u = np.array([p1]), np.array([u])
-    weights = quadrature._weights(u)
-    above, below = quadrature._kernel_sums(p1, weights)
-    return [float(term[0]) for term in quadrature._terms(p1, weights.sum(axis=0), above, below)]
+    p1q, weights = quadrature._weights(np.array([p1])), quadrature._weights(np.array([u]))
+    kernel = quadrature._kernel_sums(p1q, weights)
+    return quadrature._terms(p1q, 1, weights.sum(axis=0), kernel)[:, 0].tolist()
 
 
-# the index of each integral in the _terms tuple
+# the index of each integral in the _terms rows; D has no term of its own,
+# its sum is A's by the mirror (p1, u) -> (1-p1, 1-u)
+ONE_BOX_TERM = {Region.A: 0, Region.B: 1, Region.C: 2, 1: 3, 2: 4, 3: 5}
+# the index of each integral in the _midpoint_sums list
 TERM = {Region.A: 0, Region.B: 1, Region.C: 2, Region.D: 3, 1: 4, 2: 5, 3: 6}
+ONE_BOX_REGIONS = [Region.A, Region.B, Region.C]
 
 
-@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("region", ONE_BOX_REGIONS)
 @settings(max_examples=40, deadline=None)
 @given(inner_risks, inner_risks)
 def test_inner_integral_matches_a_fine_midpoint_sum(region, a, b):
@@ -208,11 +230,11 @@ def test_inner_integral_matches_a_fine_midpoint_sum(region, a, b):
     # the box coordinate of p2, whose rounding moves the inner integral by ~1e-14
     box_width = p1 if below else 1.0 - p1
     terms = _terms_at(p1, p2 / p1 if below else (p2 - p1) / box_width)
-    exact = terms[TERM[region]] / box_width
+    exact = terms[ONE_BOX_TERM[region]] / box_width
     assert exact == pytest.approx(reference, abs=1e-9)
     assert integrand(p1, p2, p3[0]) == _integrand_array(p1, p2, p3[0])
     if region is Region.A:
-        parts = [terms[TERM[k]] / box_width for k in (1, 2, 3)]
+        parts = [terms[ONE_BOX_TERM[k]] / box_width for k in (1, 2, 3)]
         assert parts[0] + parts[1] - parts[2] == pytest.approx(exact, abs=1e-14)
 
 
@@ -259,16 +281,18 @@ def _exact_part_inner(part, p1, p2):
 
 
 EXACT_INNERS = [
-    *(pytest.param(TERM[region], partial(_exact_region_inner, region), region, id=str(region))
-      for region in Region),
-    *(pytest.param(TERM[part], partial(_exact_part_inner, part), Region.A, id=f"part-{part}")
+    *(pytest.param(ONE_BOX_TERM[region], partial(_exact_region_inner, region), region,
+                   id=str(region))
+      for region in ONE_BOX_REGIONS),
+    *(pytest.param(ONE_BOX_TERM[part], partial(_exact_part_inner, part), Region.A,
+                   id=f"part-{part}")
       for part in (1, 2, 3)),
 ]  # fmt: skip
 
 
 @cache
 def _spread_terms():
-    """The seven src terms at 2,400 spread grid points, one row per point."""
+    """The six src terms at 2,400 spread grid points, one row per point."""
     points = _spread_points(np.random.default_rng(20211), 2400)
     return points, np.array([_terms_at(p1, u) for p1, u in points.tolist()])
 
