@@ -29,7 +29,11 @@ tie exactly).
 
 Two measures disagree when one points TowardP and the other TowardQ;
 Null agrees with everything. A set of measures agrees when no pair inside
-it disagrees.
+it disagrees. agree() caches one row per direction key (the bitmasks of the
+measures toward P and toward Q): the 64 subset verdicts, and a directions
+dict that each report copies. rr_gate() reads only RR and RR*, from
+measures._relative_risks for a strict stratum; outside the band their float
+directions are exact, so only a tie sends it to agree()'s directions.
 
 The module also provides critical values of p4, all read from one table
 (measures._critical_values): given (p1, p2, p3), the p4 at which each
@@ -43,7 +47,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from functools import cache
+from typing import Iterable, Mapping
 
 from .errors import InputValidationError
 from .measures import (
@@ -84,7 +89,7 @@ class Direction(Enum):
 
     def agrees_with(self, other: "Direction") -> bool:
         """Null agrees with everything; the two strict directions conflict."""
-        if self is Direction.NULL or other is Direction.NULL:
+        if self is _NULL or other is _NULL:
             return True
         return self is other
 
@@ -136,34 +141,26 @@ class StratifiedRisks:
         return self.stratum_p.is_strict and self.stratum_q.is_strict
 
 
-def _banded_directions(
-    strata: StratifiedRisks, measures: Callable[[RiskPair], tuple] = _measures
-) -> tuple[Direction, ...]:
-    """Banded float directions of the measures that `measures` gives each stratum.
-
-    The default compares all six in ALL_KINDS order; rr_gate passes
-    _gate_pair, which gives the leading two.
-    """
-    em_p = measures(strata.stratum_p)
-    em_q = measures(strata.stratum_q)
-    return tuple(
-        Direction.NULL
-        if math.isclose(p, q, rel_tol=_TIE_REL_TOL)
-        else Direction.TOWARD_Q if q > p else Direction.TOWARD_P
-        for p, q in zip(em_p, em_q)
-    )
+_TOWARD_P, _TOWARD_Q, _NULL = Direction.TOWARD_P, Direction.TOWARD_Q, Direction.NULL
 
 
 def _directions(strata: StratifiedRisks) -> tuple[Direction, ...]:
     """Directions of all six measures, in ALL_KINDS order.
 
-    The banded directions, repaired where they break the gate theorem (see
-    the module docstring).
+    One loop compares both strata's measures within the band; the banded
+    directions are repaired where they break the gate theorem (see the
+    module docstring).
     """
-    directions = _banded_directions(strata)
+    banded = []
+    for p, q in zip(_measures(strata.stratum_p), _measures(strata.stratum_q)):
+        if math.isclose(p, q, rel_tol=_TIE_REL_TOL):
+            banded.append(_NULL)
+        else:
+            banded.append(_TOWARD_Q if q > p else _TOWARD_P)
+    directions = tuple(banded)
     if (
-        Direction.TOWARD_P in directions
-        and Direction.TOWARD_Q in directions
+        _TOWARD_P in directions
+        and _TOWARD_Q in directions
         and directions[0].agrees_with(directions[1])
     ):
         return _exact_gate_repair(strata, directions)
@@ -226,33 +223,45 @@ class AgreementReport:
         return self.subset_verdicts[subset_mask(kinds)]
 
 
-_RR_GATE_MASK = subset_mask((MeasureKind.RR, MeasureKind.RR_STAR))
+_RR, _RR_STAR = MeasureKind.RR, MeasureKind.RR_STAR
+_RR_GATE_MASK = subset_mask((_RR, _RR_STAR))
 _ALL_SIX_MASK = subset_mask(ALL_KINDS)
+
+
+@cache
+def _row(toward_p: int, toward_q: int) -> tuple[tuple[bool, ...], dict[MeasureKind, Direction]]:
+    """A direction key's 64 verdicts, and a directions dict that each report
+    copies: a copy does not hash the MeasureKind keys again."""
+    directions = (
+        _TOWARD_P if toward_p >> bit & 1 else _TOWARD_Q if toward_q >> bit & 1 else _NULL
+        for bit in range(6)
+    )
+    return _verdict_row(toward_p, toward_q), dict(zip(ALL_KINDS, directions))
 
 
 def agree(strata: StratifiedRisks) -> AgreementReport:
     """Analyse the agreement of all six measures across the strata.
 
-    The 64 verdicts come from a row cached lazily per direction key (the
-    bitmasks toward P and toward Q), so reports with the same key share one
-    immutable tuple; the fired conditions are shared constants.
+    The 64 verdicts and the directions come from a row cached lazily per
+    direction key (the bitmasks toward P and toward Q): reports with the
+    same key share one immutable verdict tuple, and each gets its own copy
+    of the key's directions dict. The fired conditions are shared constants.
     """
     directions = _directions(strata)
     toward_p = toward_q = 0
-    for bit, direction in enumerate(directions):
-        if direction is Direction.TOWARD_P:
-            toward_p |= 1 << bit
-        elif direction is Direction.TOWARD_Q:
-            toward_q |= 1 << bit
-    verdicts = _verdict_row(toward_p, toward_q)
-    fired = sufficient_conditions(strata) if strata.is_strict else ()
-    return AgreementReport(
-        strata=strata,
-        directions=dict(zip(ALL_KINDS, directions)),
-        subset_verdicts=verdicts,
-        rr_gate_fired=verdicts[_RR_GATE_MASK],
-        fired_conditions=fired,
-    )
+    bit = 1
+    for direction in directions:
+        if direction is _TOWARD_P:
+            toward_p |= bit
+        elif direction is _TOWARD_Q:
+            toward_q |= bit
+        bit <<= 1
+    verdicts, template = _row(toward_p, toward_q)
+    p, q = strata.stratum_p, strata.stratum_q
+    p1, p2, p3, p4 = p.p_control, p.p_exposed, q.p_control, q.p_exposed
+    strict = 0.0 < p1 < 1.0 and 0.0 < p2 < 1.0 and 0.0 < p3 < 1.0 and 0.0 < p4 < 1.0
+    fired = _conditions(p1, p2, p3, p4) if strict else ()
+    return AgreementReport(strata, dict(template), verdicts, verdicts[_RR_GATE_MASK], fired)
 
 
 def rr_gate(strata: StratifiedRisks) -> bool:
@@ -261,20 +270,20 @@ def rr_gate(strata: StratifiedRisks) -> bool:
     When the gate fires, all six measures agree; only RR and RR* are
     compared here, which is what makes the gate a cheap screen. A banded
     direction outside the band is exact (RR is one rounding of the exact
-    ratio, RR* two, each far inside the band), so only a Null can hide an
+    ratio, RR* three, each far inside the band), so only a tie can hide an
     exact conflict; then the answer is the one agree() reports.
     """
-    d_rr, d_rr_star = _banded_directions(strata, _gate_pair)
-    if d_rr is Direction.NULL or d_rr_star is Direction.NULL:
-        d_rr, d_rr_star = _directions(strata)[:2]
+    p, q = strata.stratum_p, strata.stratum_q
+    a, b, c, d = p.p_control, p.p_exposed, q.p_control, q.p_exposed
+    rr_p, star_p = _relative_risks(a, b) if 0.0 < a < 1.0 and 0.0 < b < 1.0 else _measures(p)[:2]
+    rr_q, star_q = _relative_risks(c, d) if 0.0 < c < 1.0 and 0.0 < d < 1.0 else _measures(q)[:2]
+    if not (
+        math.isclose(rr_p, rr_q, rel_tol=_TIE_REL_TOL)
+        or math.isclose(star_p, star_q, rel_tol=_TIE_REL_TOL)
+    ):
+        return (rr_q > rr_p) == (star_q > star_p)
+    d_rr, d_rr_star = _directions(strata)[:2]
     return d_rr.agrees_with(d_rr_star)
-
-
-def _gate_pair(pair: RiskPair) -> tuple[float, float]:
-    """RR and RR* of one stratum; a strict one skips the four other measures."""
-    if pair.is_strict:
-        return _relative_risks(pair.p_control, pair.p_exposed)
-    return _measures(pair)[:2]
 
 
 def critical_p4(p1: float, p2: float, p3: float, kind: MeasureKind) -> float:
@@ -284,12 +293,7 @@ def critical_p4(p1: float, p2: float, p3: float, kind: MeasureKind) -> float:
     The result may fall outside (0, 1) for RR, RD, and RR*; it is returned
     unclamped.
     """
-    return _entry(_critical_values(p1, p2, p3), kind)
-
-
-def _entry(values: tuple[float, ...], kind: MeasureKind) -> float:
-    """The critical value of `kind` in a table from _critical_values."""
-    return values[_kind_bit(kind)]
+    return _critical_values(p1, p2, p3)[_kind_bit(kind)]
 
 
 @dataclass(frozen=True)
@@ -345,8 +349,9 @@ def disagreement_window(
     Empty when the critical values coincide (e.g. p1 = p2 makes them all
     equal) or when the intersection vanishes.
     """
-    values = _critical_values(p1, p2, p3)
-    ca, cb = _entry(values, kind_a), _entry(values, kind_b)
+    ratios = (kind_a is _RR or kind_a is _RR_STAR) and (kind_b is _RR or kind_b is _RR_STAR)
+    values = _critical_values(p1, p2, p3, ratios_only=ratios)
+    ca, cb = values[_kind_bit(kind_a)], values[_kind_bit(kind_b)]
     return Window(max(0.0, min(ca, cb)), min(1.0, max(ca, cb)))
 
 
@@ -384,63 +389,16 @@ class FiredCondition:
         return f"{self.name} [{self.labeling}] forces agreement of {{{members}}}"
 
 
-def _qualitative(p1: float, p2: float, p3: float, p4: float) -> bool:
-    # Exposure raises risk in exactly one stratum (weakly in the other).
-    return (p1 < p2 and p3 >= p4) or (p3 < p4 and p1 >= p2)
-
-
-# The inequalities on the risks are tested first: they are cheaper than the
-# relative risks and fail on most strata.
-
-
-def _rr_hr_star(p1: float, p2: float, p3: float, p4: float) -> bool:
-    # RR_P < RR_Q with p4 above both p2 and p3 forces HR* toward Q too.
-    return (
-        p4 > p2 and p4 > p3 and _relative_risks(p1, p2)[0] < _relative_risks(p3, p4)[0]
-    )
-
-
-def _rr_star_hr_star(p1: float, p2: float, p3: float, p4: float) -> bool:
-    # p4 < p2 with 1 < RR*_P < RR*_Q forces HR* toward Q too.
-    return p4 < p2 and 1.0 < _relative_risks(p1, p2)[1] < _relative_risks(p3, p4)[1]
-
-
-def _rr_star_rd(p1: float, p2: float, p3: float, p4: float) -> bool:
-    # RR*_P < RR*_Q with p3 <= p1 <= p2 forces RD toward Q too.
-    return p3 <= p1 <= p2 and _relative_risks(p1, p2)[1] < _relative_risks(p3, p4)[1]
-
-
-def _rr_rd(p1: float, p2: float, p3: float, p4: float) -> bool:
-    # RR_P < RR_Q with p3 >= p1 and p2 >= p1 forces RD toward Q too.
-    return (
-        p3 >= p1 and p2 >= p1 and _relative_risks(p1, p2)[0] < _relative_risks(p3, p4)[0]
-    )
-
-
-_CONDITIONS: tuple[tuple[str, object, frozenset[MeasureKind]], ...] = (
-    ("qualitative-modification", _qualitative, frozenset(ALL_KINDS)),
-    (
-        "rr-and-hr-star",
-        _rr_hr_star,
-        frozenset({MeasureKind.RR, MeasureKind.HR_STAR}),
-    ),
-    (
-        "rr-star-and-hr-star",
-        _rr_star_hr_star,
-        frozenset({MeasureKind.RR_STAR, MeasureKind.HR_STAR}),
-    ),
-    (
-        "rr-star-and-rd",
-        _rr_star_rd,
-        frozenset({MeasureKind.RR_STAR, MeasureKind.RD}),
-    ),
-    ("rr-and-rd", _rr_rd, frozenset({MeasureKind.RR, MeasureKind.RD})),
-)
-
-# Per labeling, in sufficient_conditions' order, each predicate with the one
-# FiredCondition it reports.
+# Per labeling, in sufficient_conditions' order, the FiredCondition each of
+# the five conditions reports.
 _FIRED = tuple(
-    tuple((test, FiredCondition(name, label, forces)) for name, test, forces in _CONDITIONS)
+    tuple(FiredCondition(name, label, frozenset(forces)) for name, forces in (
+        ("qualitative-modification", ALL_KINDS),
+        ("rr-and-hr-star", (MeasureKind.RR, MeasureKind.HR_STAR)),
+        ("rr-star-and-hr-star", (MeasureKind.RR_STAR, MeasureKind.HR_STAR)),
+        ("rr-star-and-rd", (MeasureKind.RR_STAR, MeasureKind.RD)),
+        ("rr-and-rd", (MeasureKind.RR, MeasureKind.RD)),
+    ))
     for label in ("identity", "swap_strata", "swap_groups", "swap_both")
 )
 
@@ -455,11 +413,40 @@ def sufficient_conditions(strata: StratifiedRisks) -> tuple[FiredCondition, ...]
     """
     if not strata.is_strict:
         raise InputValidationError("sufficient conditions need strict risks")
-    p1, p2, p3, p4 = strata.p1, strata.p2, strata.p3, strata.p4
-    labeled = ((p1, p2, p3, p4), (p3, p4, p1, p2), (p2, p1, p4, p3), (p4, p3, p2, p1))
+    return _conditions(strata.p1, strata.p2, strata.p3, strata.p4)
+
+
+def _conditions(p1: float, p2: float, p3: float, p4: float) -> tuple[FiredCondition, ...]:
+    """sufficient_conditions of strict risks, in one pass over the labelings.
+
+    Labeling (a, b, c, d) reads RR = b/a, d/c and RR* = (1-a)/(1-b),
+    (1-c)/(1-d) from the four pairs computed once here.
+    """
+    rr1, star1 = _relative_risks(p1, p2)
+    rr2, star2 = _relative_risks(p3, p4)
+    rr1_g, star1_g = _relative_risks(p2, p1)  # control and exposed swapped
+    rr2_g, star2_g = _relative_risks(p4, p3)
     fired: list[FiredCondition] = []
-    for risks, conditions in zip(labeled, _FIRED):
-        for predicate, condition in conditions:
-            if predicate(*risks):
-                fired.append(condition)
+    for a, b, c, d, rr_ab, rr_cd, star_ab, star_cd, conditions in (
+        (p1, p2, p3, p4, rr1, rr2, star1, star2, _FIRED[0]),
+        (p3, p4, p1, p2, rr2, rr1, star2, star1, _FIRED[1]),
+        (p2, p1, p4, p3, rr1_g, rr2_g, star1_g, star2_g, _FIRED[2]),
+        (p4, p3, p2, p1, rr2_g, rr1_g, star2_g, star1_g, _FIRED[3]),
+    ):
+        qualitative, rr_hr_star, star_hr_star, star_rd, rr_rd = conditions
+        # exposure raises risk in exactly one stratum (weakly in the other)
+        if (a < b and c >= d) or (c < d and a >= b):
+            fired.append(qualitative)
+        # RR_P < RR_Q with d above both b and c forces HR* toward Q too
+        if d > b and d > c and rr_ab < rr_cd:
+            fired.append(rr_hr_star)
+        # d < b with 1 < RR*_P < RR*_Q forces HR* toward Q too
+        if d < b and 1.0 < star_ab < star_cd:
+            fired.append(star_hr_star)
+        # RR*_P < RR*_Q with c <= a <= b forces RD toward Q too
+        if c <= a <= b and star_ab < star_cd:
+            fired.append(star_rd)
+        # RR_P < RR_Q with c >= a and b >= a forces RD toward Q too
+        if c >= a and b >= a and rr_ab < rr_cd:
+            fired.append(rr_rd)
     return tuple(fired)

@@ -95,15 +95,15 @@ class CountTable:
             raise InputValidationError(
                 f"a count table needs exactly 4 (events, total) cells, got {len(cells)}"
             )
-        made = [CellCount(events, total) for events, total in cells]
-        return cls(*made)
+        return cls(*[CellCount(events, total) for events, total in cells])
 
     @property
     def cells(self) -> tuple[CellCount, CellCount, CellCount, CellCount]:
         return (self.p_control, self.p_exposed, self.q_control, self.q_exposed)
 
     def risks(self, corrected: bool = False) -> tuple[float, float, float, float]:
-        return tuple(cell.risk(corrected) for cell in self.cells)  # type: ignore[return-value]
+        return (self.p_control.risk(corrected), self.p_exposed.risk(corrected),
+                self.q_control.risk(corrected), self.q_exposed.risk(corrected))
 
 
 def _checked_risks(
@@ -151,8 +151,15 @@ def estimate_rrr(table: CountTable, correct_degenerate: bool = False) -> RRREsti
 
 def _estimate(table: CountTable, risks: tuple[float, float, float, float]) -> RRREstimate:
     """estimate_rrr of a table whose risks _checked_risks returned."""
+    log_rrr1, log_rrr2, var1, var2, cov = _moments(table, risks)
+    return RRREstimate(log_rrr1, log_rrr2, ((var1, cov), (cov, var2)))
+
+
+def _moments(table: CountTable, risks: tuple[float, ...]) -> tuple[float, ...]:
+    """_estimate's log rrr1, log rrr2, two variances and covariance, unboxed."""
     p1, p2, p3, p4 = risks
-    n1, n2, n3, n4 = [cell.total for cell in table.cells]
+    n1, n2 = table.p_control.total, table.p_exposed.total
+    n3, n4 = table.q_control.total, table.q_exposed.total
     log_rrr1 = math.log(p2) + math.log(p3) - math.log(p1) - math.log(p4)
     log_rrr2 = (
         math.log1p(-p1) + math.log1p(-p4) - math.log1p(-p2) - math.log1p(-p3)
@@ -163,11 +170,7 @@ def _estimate(table: CountTable, risks: tuple[float, float, float, float]) -> RR
     var2 = (p1 / (n1 * (1.0 - p1)) + p2 / (n2 * (1.0 - p2))
             + p3 / (n3 * (1.0 - p3)) + p4 / (n4 * (1.0 - p4)))
     cov = 1.0 / n1 + 1.0 / n2 + 1.0 / n3 + 1.0 / n4
-    return RRREstimate(
-        log_rrr1=log_rrr1,
-        log_rrr2=log_rrr2,
-        covariance=((var1, cov), (cov, var2)),
-    )
+    return log_rrr1, log_rrr2, var1, var2, cov
 
 
 class TestDirection(enum.Enum):
@@ -184,7 +187,7 @@ class TestVerdict:
     direction: TestDirection
 
     def __post_init__(self) -> None:
-        if self.reject and self.direction is TestDirection.NONE:
+        if self.reject and self.direction is _NONE:
             raise InputValidationError("a rejecting verdict must carry a direction")
 
 
@@ -197,10 +200,13 @@ def modification_test(
     region is the pair of log-scale intervals.
     """
     z = _z(alpha)  # a bad alpha is reported before the counts are read
-    return _verdict(estimate_rrr(table, correct_degenerate), alpha, z)
+    risks = _checked_risks(table, correct_degenerate)
+    log_rrr1, log_rrr2, var1, var2, _ = _moments(table, risks)
+    return _sign_verdict(log_rrr1, math.sqrt(var1), log_rrr2, math.sqrt(var2), alpha, z)
 
 
 _normal_quantile = lru_cache(maxsize=64)(NormalDist().inv_cdf)
+_ABOVE, _BELOW, _NONE = TestDirection.BOTH_ABOVE, TestDirection.BOTH_BELOW, TestDirection.NONE
 
 
 def _z(alpha: float) -> float:
@@ -212,18 +218,21 @@ def _z(alpha: float) -> float:
 
 def _verdict(estimate: RRREstimate, alpha: float, z: float) -> TestVerdict:
     """The test's verdict on an estimate at level alpha, with z = _z(alpha)."""
-    se1, se2 = estimate.se1, estimate.se2
-    interval1 = (estimate.log_rrr1 - z * se1, estimate.log_rrr1 + z * se1)
-    interval2 = (estimate.log_rrr2 - z * se2, estimate.log_rrr2 + z * se2)
-    if interval1[0] > 0.0 and interval2[0] > 0.0:
-        direction = TestDirection.BOTH_ABOVE
-    elif interval1[1] < 0.0 and interval2[1] < 0.0:
-        direction = TestDirection.BOTH_BELOW
-    else:
-        direction = TestDirection.NONE
-    return TestVerdict(
-        reject=direction is not TestDirection.NONE,
-        region=(interval1, interval2),
-        alpha=alpha,
-        direction=direction,
+    return _sign_verdict(
+        estimate.log_rrr1, estimate.se1, estimate.log_rrr2, estimate.se2, alpha, z
     )
+
+
+def _sign_verdict(
+    log_rrr1: float, se1: float, log_rrr2: float, se2: float, alpha: float, z: float
+) -> TestVerdict:
+    """_verdict of the two log RRRs and their standard errors."""
+    interval1 = (log_rrr1 - z * se1, log_rrr1 + z * se1)
+    interval2 = (log_rrr2 - z * se2, log_rrr2 + z * se2)
+    if interval1[0] > 0.0 and interval2[0] > 0.0:
+        direction = _ABOVE
+    elif interval1[1] < 0.0 and interval2[1] < 0.0:
+        direction = _BELOW
+    else:
+        direction = _NONE
+    return TestVerdict(direction is not _NONE, (interval1, interval2), alpha, direction)

@@ -75,22 +75,13 @@ class MeasureKind(enum.Enum):
     @property
     def bit(self) -> int:
         """Stable bit position used for subset bitmasks (RR lowest)."""
-        return _KIND_ORDER.index(self)
+        return ALL_KINDS.index(self)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
 
-_KIND_ORDER: tuple[MeasureKind, ...] = (
-    MeasureKind.RR,
-    MeasureKind.RR_STAR,
-    MeasureKind.HR,
-    MeasureKind.HR_STAR,
-    MeasureKind.RD,
-    MeasureKind.OR,
-)
-
-ALL_KINDS: tuple[MeasureKind, ...] = _KIND_ORDER
+ALL_KINDS: tuple[MeasureKind, ...] = tuple(MeasureKind)  # in definition order, RR first
 
 
 def _kind_bit(kind: MeasureKind) -> int:
@@ -143,12 +134,12 @@ class RiskPair:
     p_exposed: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "p_control", _require_unit_interval("p_control", self.p_control)
-        )
-        object.__setattr__(
-            self, "p_exposed", _require_unit_interval("p_exposed", self.p_exposed)
-        )
+        # float() returns a float unchanged, so only a converted value is set
+        a, b = self.p_control, self.p_exposed
+        if (checked := _require_unit_interval("p_control", a)) is not a:
+            object.__setattr__(self, "p_control", checked)
+        if (checked := _require_unit_interval("p_exposed", b)) is not b:
+            object.__setattr__(self, "p_exposed", checked)
 
     @property
     def is_strict(self) -> bool:
@@ -162,15 +153,6 @@ class RiskPair:
         to HR* while leaving RD and OR unchanged.
         """
         return RiskPair(1.0 - self.p_exposed, 1.0 - self.p_control)
-
-
-def _check_boundary(pair: RiskPair) -> None:
-    a, b = pair.p_control, pair.p_exposed
-    if a == b and (a == 0.0 or a == 1.0):
-        raise UndefinedMeasure(
-            f"risk pair ({a}, {b}) admits no one-sided limit (0/0 form); "
-            "every measure is undefined"
-        )
 
 
 def _relative_risks(a, b, out=None) -> tuple:
@@ -220,18 +202,21 @@ def _strict_measures(a, b, out=None) -> tuple:
     return tuple(out)
 
 
-def _critical_values(p1: float, p2: float, p3: float) -> tuple[float, ...]:
+def _critical_values(p1: float, p2: float, p3: float, ratios_only: bool = False) -> tuple:
     """The six critical p4 values of (p1, p2, p3), in ALL_KINDS order.
 
     The one copy of the inverse formulas: entry k solves EM_k(p3, p4) =
     EM_k(p1, p2) for p4. RR, RR* and RD may fall outside (0, 1) unclamped.
+    With ratios_only, only the leading two, those of RR and RR*.
     """
-    _require_strict_probs(p1=p1, p2=p2, p3=p3)
+    if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0 and 0.0 < p3 < 1.0):
+        _require_strict_probs(p1=p1, p2=p2, p3=p3)
+    ratios = (p2 * p3 / p1, 1.0 - (1.0 - p2) * (1.0 - p3) / (1.0 - p1))
+    if ratios_only:
+        return ratios
     _, _, hr, hr_star, _, odds = _strict_measures(p1, p2)
     t = odds * p3 / (1.0 - p3)
-    return (
-        p2 * p3 / p1,
-        1.0 - (1.0 - p2) * (1.0 - p3) / (1.0 - p1),
+    return ratios + (
         -math.expm1(hr * math.log1p(-p3)),  # 1 - (1-p3)^HR_P
         math.exp(math.log(p3) / hr_star),  # p3^(1/HR*_P)
         p2 + p3 - p1,
@@ -258,10 +243,14 @@ def _boundary_measures(a: float, b: float) -> tuple[float, ...]:
 
 def _measures(pair: RiskPair) -> tuple[float, ...]:
     """The six measures of a pair in ALL_KINDS order, as extended reals."""
-    _check_boundary(pair)
     a, b = pair.p_control, pair.p_exposed
-    if pair.is_strict:
+    if 0.0 < a < 1.0 and 0.0 < b < 1.0:
         return _strict_measures(a, b)
+    if a == b and (a == 0.0 or a == 1.0):
+        raise UndefinedMeasure(
+            f"risk pair ({a}, {b}) admits no one-sided limit (0/0 form); "
+            "every measure is undefined"
+        )
     return _boundary_measures(a, b)
 
 
@@ -285,14 +274,7 @@ class MeasureVector:
     rd: float
     odds_ratio: float
 
-    _FIELD_BY_KIND = {
-        MeasureKind.RR: "rr",
-        MeasureKind.RR_STAR: "rr_star",
-        MeasureKind.HR: "hr",
-        MeasureKind.HR_STAR: "hr_star",
-        MeasureKind.RD: "rd",
-        MeasureKind.OR: "odds_ratio",
-    }
+    _FIELD_BY_KIND = dict(zip(ALL_KINDS, ("rr", "rr_star", "hr", "hr_star", "rd", "odds_ratio")))
 
     def value(self, kind: MeasureKind) -> float:
         return getattr(self, self._FIELD_BY_KIND[kind])

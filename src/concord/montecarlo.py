@@ -465,7 +465,9 @@ def _draw_tile(
     # limits, so such draws are replaced.
     if (lower, upper) != (0.0, 1.0):
         for risk in (p1, p3) if tent else out:
-            _redraw_on_bounds(scale(risk), lambda bad: scale(fresh(bad)), lower, upper)
+            scale(risk)
+            if not _scale_stays_inside(lower, upper):
+                _redraw_on_bounds(risk, lambda bad: scale(fresh(bad)), lower, upper)
     if not tent:
         return
     work = [row[: p1.size] for row in work[:_QUANTILE_WORK]]
@@ -477,6 +479,14 @@ def _draw_tile(
             0.0,
             1.0,
         )
+
+
+@cache
+def _scale_stays_inside(lower: float, upper: float) -> bool:
+    """Whether _draw_tile's scale maps every draw u in [2**-53, 1 - 2**-53]
+    strictly inside (lower, upper); the rounded map is monotone in u."""
+    span = upper - lower
+    return lower < 2.0**-53 * span + lower and (1.0 - 2.0**-53) * span + lower < upper
 
 
 class _Scratch:

@@ -191,9 +191,14 @@ def _midpoint_sums(cells: int) -> list[float]:
 def _all_estimates(cells: int) -> list[QuadratureEstimate]:
     """Regions A, B, C, D and region-A parts 1-3, reporting the refinement error."""
     if not (isinstance(cells, numbers.Real) and _MIN_CELLS <= cells <= _MAX_CELLS) or cells % 1:
+        try:
+            shown = repr(cells)
+        except ValueError:  # past the int-to-str digit limit; name an int's size instead
+            shown = f"an int of {cells.bit_length()} bits" if isinstance(cells, int) else (
+                f"a {type(cells).__name__} past the int-to-str digit limit")
         raise ResolutionError(
             f"grid scheme needs an integer resolution >= {_MIN_CELLS} and"
-            f" <= {_MAX_CELLS}, got {cells!r}"
+            f" <= {_MAX_CELLS}, got {shown}"
         )
     cells = int(cells)
     coarse, fine = _midpoint_sums(cells // 2), _midpoint_sums(cells)

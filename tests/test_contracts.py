@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adversarial import quadruples, strict_triples
+from concord import agreement
 from concord.agreement import (
-    _CONDITIONS,
     Direction,
     FiredCondition,
     StratifiedRisks,
@@ -21,12 +21,14 @@ from concord.agreement import (
     critical_values,
     disagreement_window,
     rr_gate,
+    sufficient_conditions,
 )
 from concord.errors import ConcordError, DegenerateCell
 from concord.inference import CountTable, estimate_rrr
 from concord.measures import ALL_KINDS, MeasureKind, subset_agrees, subset_mask
 
 RR, RR_STAR = MeasureKind.RR, MeasureKind.RR_STAR
+HR, HR_STAR, RD = MeasureKind.HR, MeasureKind.HR_STAR, MeasureKind.RD
 
 RECORDED = [
     # the RR/RR* gate fires while RD disagrees (RR ties inside the band)
@@ -145,12 +147,59 @@ LABELINGS = (
 )
 
 
+# The five sufficient conditions in their readable inequality forms, with
+# RR = p2 / p1 and RR* = (1 - p1) / (1 - p2) for stratum P, and likewise
+# p4 / p3 and (1 - p3) / (1 - p4) for stratum Q.
+
+
+def qualitative(p1, p2, p3, p4):
+    # exposure raises risk in exactly one stratum (weakly in the other)
+    return (p1 < p2 and p3 >= p4) or (p3 < p4 and p1 >= p2)
+
+
+def rr_hr_star(p1, p2, p3, p4):
+    # RR_P < RR_Q with p4 above both p2 and p3 forces HR* toward Q too
+    return p4 > p2 and p4 > p3 and p2 / p1 < p4 / p3
+
+
+def rr_star_hr_star(p1, p2, p3, p4):
+    # p4 < p2 with 1 < RR*_P < RR*_Q forces HR* toward Q too
+    return p4 < p2 and 1.0 < (1.0 - p1) / (1.0 - p2) < (1.0 - p3) / (1.0 - p4)
+
+
+def rr_star_rd(p1, p2, p3, p4):
+    # RR*_P < RR*_Q with p3 <= p1 <= p2 forces RD toward Q too
+    return p3 <= p1 <= p2 and (1.0 - p1) / (1.0 - p2) < (1.0 - p3) / (1.0 - p4)
+
+
+def rr_rd(p1, p2, p3, p4):
+    # RR_P < RR_Q with p3 >= p1 and p2 >= p1 forces RD toward Q too
+    return p3 >= p1 and p2 >= p1 and p2 / p1 < p4 / p3
+
+
+CONDITIONS = (
+    ("qualitative-modification", qualitative, frozenset(ALL_KINDS)),
+    ("rr-and-hr-star", rr_hr_star, frozenset({RR, HR_STAR})),
+    ("rr-star-and-hr-star", rr_star_hr_star, frozenset({RR_STAR, HR_STAR})),
+    ("rr-star-and-rd", rr_star_rd, frozenset({RR_STAR, RD})),
+    ("rr-and-rd", rr_rd, frozenset({RR, RD})),
+)
+
+
+def gate_breakers(test):
+    """Pin every GATE_BREAKERS input as an explicit example."""
+    for risks in GATE_BREAKERS:
+        test = example(risks)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(quadruples())
 @pinned()
+@gate_breakers
 def test_agree_equals_the_loop_reference(risks):
     # the verdicts from subset_agrees mask by mask, and a new FiredCondition
-    # for each (labeling, condition) that fires
+    # for each (labeling, condition) whose readable form holds
     strata = StratifiedRisks.from_probs(*risks)
     try:
         report = agree(strata)
@@ -167,10 +216,73 @@ def test_agree_equals_the_loop_reference(risks):
         fired = tuple(
             FiredCondition(name=name, labeling=label, forces=forces)
             for label, perm in LABELINGS
-            for name, predicate, forces in _CONDITIONS
+            for name, predicate, forces in CONDITIONS
             if predicate(*(risks[i] for i in perm))
         )
+        assert sufficient_conditions(strata) == fired
     assert report.fired_conditions == fired
+
+
+@pytest.mark.parametrize("risks", [*RECORDED, *GATE_BREAKERS, (0.7, 0.9, 0.2, 0.3)])
+def test_each_report_owns_its_directions_dict(risks):
+    # reports with one direction key copy one cached dict: mutating a copy
+    # reaches neither another report nor the cache
+    strata = StratifiedRisks.from_probs(*risks)
+    first, second = agree(strata), agree(strata)
+    expected = dict(zip(ALL_KINDS, agreement._directions(strata)))
+    assert type(first.directions) is dict
+    assert first.directions == second.directions == expected
+    assert first.directions is not second.directions
+    for kind in ALL_KINDS:
+        first.directions[kind] = "mutated"
+    del first.directions[RR]
+    assert second.directions == expected
+    assert agree(strata).directions == expected
+
+
+# the permutation sigma of subset masks that exchanges RR with RR* and HR
+# with HR*, the measures that recoding the outcome exchanges
+def _sigma(mask):
+    swapped = 0
+    for a, b in ((RR, RR_STAR), (HR, HR_STAR)):
+        swapped |= (mask >> a.bit & 1) << b.bit | (mask >> b.bit & 1) << a.bit
+    others = subset_mask((RD, MeasureKind.OR))
+    return swapped | mask & others
+
+
+_EXCHANGED = {RR: RR_STAR, RR_STAR: RR, HR: HR_STAR, HR_STAR: HR}
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadruples().filter(lambda risks: all(1.0 - (1.0 - p) == p for p in risks)))
+@example((0.7, 0.9, 0.2, 0.3))
+@example((0.0, 0.5, 0.75, 1.0))
+def test_opposite_outcome_exchanges_rr_with_rr_star_and_hr_with_hr_star(risks):
+    """Recoding the outcome in both strata (RiskPair.opposite) exchanges RR
+    with RR* and HR with HR*, and leaves RD and OR as they are.
+
+    So agree() gives the same directions with those measures exchanged, its
+    64 verdicts are the old ones permuted by that exchange, and rr_gate()
+    does not change. Every risk here has an exact complement (1 - (1 - p)
+    == p), so the recoded RR, RR*, RD and OR are the old floats and the
+    exact repair reads the same rationals; HR and HR* are recomputed through
+    log1p and log, whose last bits may differ, so where the recode rounds
+    the contract can fail only inside the tie band.
+    """
+    strata = StratifiedRisks.from_probs(*risks)
+    recoded = StratifiedRisks(strata.stratum_p.opposite, strata.stratum_q.opposite)
+    try:
+        report = agree(strata)
+    except ConcordError as exc:
+        with pytest.raises(type(exc)):
+            agree(recoded)
+        return
+    opposite = agree(recoded)
+    for kind in ALL_KINDS:
+        assert opposite.directions[_EXCHANGED.get(kind, kind)] is report.directions[kind]
+    for mask in range(64):
+        assert opposite.subset_verdicts[mask] == report.subset_verdicts[_sigma(mask)]
+    assert rr_gate(recoded) == rr_gate(strata) == report.rr_gate_fired
 
 
 totals = st.one_of(st.integers(1, 100), st.integers(1, 2**53))

@@ -316,12 +316,14 @@ def _quantile(u, peak, bounds):
 @pytest.mark.parametrize(
     "bounds, u1, u2, u3, u4",
     [
-        # p1[1] and p3[1] land on 0, and so do p2[0] and p4[2]; u3[0] is a zero
+        # p2[0] and p4[2] land on 0; u3[0] is a zero. No draw in
+        # [2**-53, 1 - 2**-53] maps p1 or p3 onto these bounds, so the control
+        # risks go unchecked (_scale_stays_inside)
         (
             (0.0, 0.5),
-            [0.5, 5e-324, 0.25],
+            [0.5, 0.75, 0.25],
             [5e-324, 0.5, 0.5],
-            [0.0, 5e-324, 0.5],
+            [0.0, 0.75, 0.5],
             [0.5, 0.5, 5e-324],
         ),
         # p1[1] and p3[2] land on 1, and so do p2[2] and p4[0]; u3[1] is a zero
@@ -331,6 +333,14 @@ def _quantile(u, peak, bounds):
             [0.5, 0.5, 0.999999],
             [0.99, 0.0, 1 - 2**-53],
             [0.999999, 0.5, 0.5],
+        ),
+        # the least draw, 2**-53, maps p1[1] and p3[1] onto L; u3[0] is a zero
+        (
+            (0.5, 0.5 + 2**-30),
+            [0.5, 2**-53, 0.25],
+            [0.5, 0.5, 0.5],
+            [0.0, 2**-53, 0.5],
+            [0.5, 0.5, 0.5],
         ),
     ],
 )
@@ -342,8 +352,10 @@ def test_draw_tile_replaces_only_tent_values_on_a_bound(bounds, u1, u2, u3, u4):
     cfg = SimulationConfig(distribution=Distribution.TENT_DEPENDENT, bounds=bounds)
     out = np.empty((4, 3))
     lanes = [_Emitter(u) for u in (u1, u2, u3, u4)]
-    _draw_tile(lanes, np.random.default_rng(9), cfg, out, np.empty((_QUANTILE_WORK, 3)))
-    spare = iter(np.random.default_rng(9).random(5))
+    spare_rng = np.random.default_rng(9)
+    _draw_tile(lanes, spare_rng, cfg, out, np.empty((_QUANTILE_WORK, 3)))
+    spare_draws = np.random.default_rng(9).random(13)
+    spare = iter(spare_draws)
 
     def control(u):
         return lower + (upper - lower) * u
@@ -360,7 +372,9 @@ def test_draw_tile_replaces_only_tent_values_on_a_bound(bounds, u1, u2, u3, u4):
         for i, x in enumerate(p):
             if not 0.0 < x < 1.0:
                 p[i] = _quantile(next(spare), peaks[i], bounds)
-    assert next(spare, None) is None  # each planted value, and only it, was bad
+    # each planted value, and only it, was bad: _draw_tile took as many spare
+    # draws as the planted values need
+    assert spare_rng.random() == spare_draws[len(spare_draws) - len(list(spare))]
     assert np.array_equal(out, [p1, p2, p3, p4])
 
 
@@ -383,6 +397,19 @@ def test_draw_tile_replaces_uniform_values_on_a_bound():
                 risk[i] = lower + (upper - lower) * next(spare)
     assert next(spare, None) is None  # each planted value, and only it, was bad
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize(
+    "bounds, inside",
+    [((0.0, 0.1), True), ((0.0, 0.5), True), ((0.2, 0.8), False), ((0.3, 0.6), True),
+     ((0.9999999999999, 1.0), False), ((0.5, 0.5 + 2**-30), False), ((0.0, 2.0**-400), True)],
+)
+def test_scale_is_checked_only_where_a_draw_can_reach_a_bound(bounds, inside):
+    # the scale map is monotone, so the least and the greatest draw decide
+    lower, upper = bounds
+    ends = np.add(np.multiply([2.0**-53, 1 - 2.0**-53], upper - lower), lower)
+    assert bool(lower < ends[0] and ends[1] < upper) is inside
+    assert montecarlo._scale_stays_inside(lower, upper) is inside
 
 
 # The draw models, as (distribution, bounds).

@@ -83,12 +83,16 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "resolution",
-    [10**400, "256", None, [256], "abc", 16 + 0j, Fraction(33, 2), True],
-    ids=["10**400", "'256'", "None", "[256]", "'abc'", "16+0j", "33/2", "True"],
+    "resolution, shown",
+    [(r, repr(r)) for r in (10**400, "256", None, [256], "abc", 16 + 0j, Fraction(33, 2), True)]
+    # repr() of these raises ValueError past Python's int-to-str digit limit
+    + [(10**5000, "an int of 16610 bits"),
+       (Fraction(10**5000, 3), "a Fraction past the int-to-str digit limit")],
+    ids=["10**400", "'256'", "None", "[256]", "'abc'", "16+0j", "33/2", "True",
+         "10**5000", "10**5000/3"],
 )
-def test_resolution_that_is_not_an_integral_real_is_a_resolution_error(resolution):
-    message = f"grid scheme needs an integer resolution >= 8 and <= 16384, got {resolution!r}"
+def test_resolution_that_is_not_an_integral_real_is_a_resolution_error(resolution, shown):
+    message = f"grid scheme needs an integer resolution >= 8 and <= 16384, got {shown}"
     with pytest.raises(ResolutionError) as info:
         region_probability(Region.A, resolution)
     assert str(info.value) == message
